@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,11 +108,6 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve).tolist()
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> list[int]:
-    return primes_up_to(_TRIAL_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -229,17 +223,6 @@ def omega(n: int) -> int:
     return factorize(n).omega
 
 
-def divisor_count(n: int) -> int:
-    if n == 0:
-        raise ValueError("d(0) undefined")
-    if abs(n) == 1:
-        return 1
-    c = 1
-    for _, e in factorize(n).factors:
-        c *= e + 1
-    return c
-
-
 def is_squarefree(n: int) -> bool:
     return mobius(n) != 0
 
@@ -282,10 +265,6 @@ def legendre_eps(a: int, p: int) -> tuple[int, complex]:
         sym = -1
     eps = 1 + 0j if p % 4 == 1 else 1j
     return sym, eps
-
-
-def legendre(a: int, p: int) -> int:
-    return legendre_eps(a, p)[0]
 
 
 def tonelli_shanks(a: int, p: int) -> int:

@@ -226,21 +226,6 @@ def ap_mobius_sum(spec: APMobiusSumSpec) -> complex:
     return total
 
 
-def _ap_mobius_sum_rational(
-    lo: int, hi: int, a: int, r: int, q1: int, j: int, coprime_to: int
-) -> complex:
-    """S_j with exact rational twist a/r (phases reduced mod r in integers)."""
-    if hi < lo:
-        return 0j
-    total = 0j
-    for start, mu in _mu_segments(lo, hi):
-        n = np.arange(start, start + mu.size, dtype=np.int64)
-        keep = (n % q1 == j % q1) & (np.gcd(n, coprime_to) == 1)
-        phase = np.exp((2j * np.pi / r) * ((a * n[keep]) % r))
-        total += complex(np.sum(mu[keep].astype(np.float64) * phase))
-    return total
-
-
 def dirichlet_approximation(w: float, R: int) -> tuple[int, int, float]:
     """(a, r, beta) with (a, r) = 1, r <= R and |w - a/r| <= 1/(r R).
 

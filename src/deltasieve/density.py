@@ -86,13 +86,6 @@ def sigma_prime_square_structured(p: int) -> LocalDensity:
     return LocalDensity(p2, p2 + unit_pairs)
 
 
-def sigma_prime_square(p: int) -> int:
-    """sigma(p^2) routed by size: enumeration for p <= 100, structure beyond."""
-    if p <= 100:
-        return sigma(p * p).sigma
-    return sigma_prime_square_structured(p).sigma
-
-
 def per_prime_identity(p: int) -> bool:
     """(1 - p/(p^3-p+1)) (1 - (p-1)/p^3) = 1 - (2p-1)/p^3, exactly."""
     if p <= 3:

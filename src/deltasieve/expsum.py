@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import euler_phi, factorize, is_squarefree, legendre_eps
-from .weights import SchwartzWeight, gaussian_weight
+from .weights import gaussian_weight
 
 MAX_BRUTE_MODULUS = 10**7
 
@@ -567,9 +567,9 @@ class PoissonCheckResult:
         return self.delta / max(abs(self.lhs), 1e-300)
 
 
-def poisson_selfdual_1d(s: float, weight: SchwartzWeight | None = None) -> PoissonCheckResult:
+def poisson_selfdual_1d(s: float) -> PoissonCheckResult:
     """Classical Poisson identity sum Gamma(x/s) = s * sum Gammahat(s m)."""
-    w = weight or gaussian_weight()
+    w = gaussian_weight()
     zmax = w.decay_radius(1e-18)
     nx = int(math.ceil(zmax * s)) + 1
     x = np.arange(-nx, nx + 1)
@@ -587,7 +587,6 @@ def poisson_second_check(
     d: int,
     l1: int,
     X: float,
-    weight: SchwartzWeight | None = None,
     u_cap: int = 2000,
 ) -> PoissonCheckResult:
     """Two-sided check of the second Poisson application (m* = mtilde = 1).
@@ -609,7 +608,7 @@ def poisson_second_check(
     A = k3**3 * h * d
     if math.gcd(l1, 6 * h * d) != 1:
         raise ValueError("(l1, 6hd) must be 1")
-    w = weight or gaussian_weight()
+    w = gaussian_weight()
     linv2 = pow(l1 * l1, -1, A) if A > 1 else 0
     if d > 1:
         li_d = linv2 % d
@@ -649,7 +648,7 @@ def poisson_second_check(
         block = 0j
         for uu in {u, -u}:
             alpha = l1 * l1 * uu / (X**4 * k3 * k3)
-            ival = I_eval(OscillatoryProblem(alpha, beta, weight, 1e-10))
+            ival = I_eval(OscillatoryProblem(alpha, beta, 1e-10))
             block += ival * vsum(uu)
         total += block
         small = small + 1 if abs(block) < 1e-12 * (1 + abs(total)) else 0
@@ -667,7 +666,6 @@ def poisson_second_check(
 def poisson_check(
     frame: CongruenceFrame,
     X: float,
-    weight: SchwartzWeight | None = None,
     cutoff: float = 1e-14,
 ) -> PoissonCheckResult:
     """Two-sided check of the first Poisson application at a single l.
@@ -679,7 +677,7 @@ def poisson_check(
     """
     if X > 4:
         raise ValueError("X <= 4 for the two-sided check")
-    w = weight or gaussian_weight()
+    w = gaussian_weight()
     a, b, h, l = frame.a, frame.b, frame.h, frame.l
     k2, k3 = frame.k2, frame.k3
     l2 = l * l

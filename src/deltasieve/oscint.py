@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import SchwartzWeight, gaussian_weight
+from .weights import gaussian_weight
+
+_WEIGHT = gaussian_weight()
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.
 _POS = (
@@ -100,7 +102,6 @@ def _adaptive_gk(f, a: float, b: float, tol: float, freq: float, max_panels: int
 class OscillatoryProblem:
     alpha: float
     beta: float
-    weight: SchwartzWeight | None = None
     tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -109,19 +110,15 @@ class OscillatoryProblem:
         if not 0 < self.tolerance <= 1e-6:
             raise ValueError("tolerance must lie in (0, 1e-6]")
 
-    @property
-    def w(self) -> SchwartzWeight:
-        return self.weight or gaussian_weight()
-
 
 def _cutoff(problem: OscillatoryProblem, amp_scale: float = 1.0) -> float:
-    z = problem.w.decay_radius(problem.tolerance * 1e-3 / max(amp_scale, 1.0))
+    z = _WEIGHT.decay_radius(problem.tolerance * 1e-3 / max(amp_scale, 1.0))
     return max(z, 3.5)
 
 
 def I_eval(problem: OscillatoryProblem) -> complex:
     """I(alpha, beta) by oscillation-aware adaptive quadrature."""
-    alpha, beta, w = problem.alpha, problem.beta, problem.w
+    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
     Z = _cutoff(problem)
 
     def f(z):
@@ -140,7 +137,7 @@ def I1_eval(problem: OscillatoryProblem, s: float) -> complex:
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    alpha, beta, w = problem.alpha, problem.beta, problem.w
+    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
     Z0 = _cutoff(problem)
     amp = 2 * math.pi * (4 * beta / s * Z0**3 + 2 * abs(alpha) / s * Z0 + 1)
     Z = _cutoff(problem, amp)
@@ -169,7 +166,7 @@ def G_eval(problem: OscillatoryProblem) -> complex:
     Both stationary points carry amplitude 2^(-1/2) (3|alpha| beta)^(-1/4)
     and opposite phases +-(1/8 - 2|alpha|^(3/2) / (3^(3/2) beta^(1/2))).
     """
-    alpha, beta, w = problem.alpha, problem.beta, problem.w
+    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
     if alpha >= 0:
         return 0j
     z0 = stationary_point(alpha, beta)
@@ -186,7 +183,7 @@ def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
     amplitude is 2^(1/2) |alpha|^(5/4) / (3^(7/4) beta^(3/4) s) per
     stationary point, the first term with a minus sign).
     """
-    alpha, beta, w = problem.alpha, problem.beta, problem.w
+    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
     if alpha >= 0:
         return 0j
     if s <= 0:
@@ -251,10 +248,10 @@ def beta_floor_holds(ctx: ParamContext) -> bool:
     ) * ctx.X**3
 
 
-def G_of_s(ctx: ParamContext, weight: SchwartzWeight | None = None) -> complex:
+def G_of_s(ctx: ParamContext) -> complex:
     """G through the (alpha, beta) parameter maps, as a function of ctx.s."""
     alpha, beta, _ = param_map(ctx)
-    return G_eval(OscillatoryProblem(alpha, beta, weight, 1e-9))
+    return G_eval(OscillatoryProblem(alpha, beta, 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +308,6 @@ def default_omega_contexts() -> list[ParamContext]:
 
 def omega_scan(
     contexts: list[ParamContext] | None = None,
-    weight: SchwartzWeight | None = None,
     tolerance: float = 1e-8,
 ) -> list[OmegaRow]:
     """Omega = I - G over a context grid, classified by the (u, K) regime.
@@ -324,7 +320,7 @@ def omega_scan(
         if not beta_floor_holds(ctx):
             raise ValueError(f"context {ctx} violates the beta >= 1 floor")
         alpha, beta, K = param_map(ctx)
-        prob = OscillatoryProblem(alpha, beta, weight, tolerance)
+        prob = OscillatoryProblem(alpha, beta, tolerance)
         ival = I_eval(prob)
         gval = G_eval(prob)
         om = abs(ival - gval)
@@ -383,13 +379,12 @@ def default_station_grid() -> list[tuple[float, float]]:
 
 def station_envelope_scan(
     grid: list[tuple[float, float]] | None = None,
-    weight: SchwartzWeight | None = None,
     tolerance: float = 1e-10,
 ) -> list[StationRow]:
     """|I - G| against the envelope log(2 + beta) / |alpha| over the grid."""
     rows = []
     for alpha, beta in grid or default_station_grid():
-        prob = OscillatoryProblem(alpha, beta, weight, tolerance)
+        prob = OscillatoryProblem(alpha, beta, tolerance)
         ival = I_eval(prob)
         gval = G_eval(prob)
         err = abs(ival - gval)

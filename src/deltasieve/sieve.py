@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import mobius_table, primes_up_to
 from .density import euler_product
-from .weights import SchwartzWeight, gaussian_weight
+from .weights import gaussian_weight
 
 MAX_EXACT_X = 8.0
 SMOOTHED_CUTOFF = 1e-14
@@ -48,7 +48,6 @@ class CountConfig:
     mode: str = "exact"  # exact | smoothed
     threads: int = 1
     chunk_size: int = 256
-    weight: SchwartzWeight | None = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "smoothed"):
@@ -220,8 +219,7 @@ def _chunk_worker(args):
 def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
     if cfg.mode == "exact":
         return int(math.floor(cfg.X**4)), int(math.floor(cfg.X**6))
-    w = cfg.weight or gaussian_weight()
-    z = w.decay_radius(SMOOTHED_CUTOFF)
+    z = gaussian_weight().decay_radius(SMOOTHED_CUTOFF)
     return int(math.ceil(z * cfg.X**4)), int(math.ceil(z * cfg.X**6))
 
 
@@ -323,9 +321,9 @@ def naive_count_tiny(X: float) -> int:
     return n
 
 
-def naive_weighted_sum(X: float, weight: SchwartzWeight | None = None) -> float:
-    """Direct weighted oracle over the truncated box (value-bitmap mu^2)."""
-    w = weight or gaussian_weight()
+def naive_weighted_sum(X: float) -> float:
+    """Direct Gaussian-weighted oracle over the truncated box (value-bitmap mu^2)."""
+    w = gaussian_weight()
     z = w.decay_radius(SMOOTHED_CUTOFF)
     Amax, Bmax = int(math.ceil(z * X**4)), int(math.ceil(z * X**6))
     dmax = 4 * Amax**3 + 27 * Bmax**2

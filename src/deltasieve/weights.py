@@ -17,7 +17,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SchwartzWeight:
-    """A rapidly decaying weight with value, derivative and Fourier transform.
+    """A rapidly decaying weight with its value and Fourier transform.
 
     ``decay_radius(eps)`` returns R with |value(z)| <= eps for |z| >= R
     (and the same for the Fourier side); used to truncate lattice sums.
@@ -25,9 +25,7 @@ class SchwartzWeight:
 
     name: str
     value: Callable[[np.ndarray | float], np.ndarray | float]
-    derivative: Callable[[np.ndarray | float], np.ndarray | float]
     fourier: Callable[[np.ndarray | float], np.ndarray | float]
-    fourier_derivative: Callable[[np.ndarray | float], np.ndarray | float]
     decay_radius: Callable[[float], float]
 
 
@@ -35,18 +33,11 @@ def _gauss(z):
     return np.exp(-np.pi * np.asarray(z, dtype=float) ** 2)
 
 
-def _gauss_prime(z):
-    z = np.asarray(z, dtype=float)
-    return -2.0 * np.pi * z * np.exp(-np.pi * z**2)
-
-
 def gaussian_weight() -> SchwartzWeight:
     """The self-dual Gaussian exp(-pi z^2)."""
     return SchwartzWeight(
         name="gaussian",
         value=_gauss,
-        derivative=_gauss_prime,
         fourier=_gauss,
-        fourier_derivative=_gauss_prime,
         decay_radius=lambda eps: math.sqrt(max(math.log(1.0 / eps), 1.0) / math.pi),
     )

@@ -1,20 +1,36 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the assertions enforce every stated tolerance.
+lines.  Every criterion is a lookup on a suite report from `conftest.py`;
+the tolerances live in `deltasieve.suites`, and the time bounds apply to
+the timed suite run.  `test_remaining_module_invariants` fails on any
+failed check of any suite, so the checks no criterion names are gated too.
 """
 
-import math
-import os
-import time
-from fractions import Fraction
+import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from deltasieve import arith, characters, density, expsum, oscint, sieve, suites
+from deltasieve import suites
 
-THREADS = min(8, os.cpu_count() or 1)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+SIEVE_CHECKS = {
+    "delta_value_examples",
+    "exact_count_X1_is_4",
+    "tiny_oracle_X1",
+    "oracle_equality_X_1234",
+    "mobius_sieve_identity_X123",
+    "S_term_examples",
+    "tail_S2_values",
+    "worker_determinism_1_4_16",
+    "smoothed_X2_vs_direct_oracle",
+    "stripe_root_soundness_1e5",
+    "smoothed_X4_quarter_ratio_reported",
+    "main_term_trend_X6_vs_X3",
+    "residual_over_X7_bounded",
+}
 
 
 def _report(num, ok, detail):
@@ -22,60 +38,37 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-@pytest.fixture(scope="module")
-def expsum_report():
-    return suites.suite_expsum(0)
+def _all_ok(run, names):
+    return all(run.check(n).ok for n in names)
 
 
-@pytest.fixture(scope="module")
-def oscint_report():
-    return suites.suite_oscint(0)
-
-
-@pytest.fixture(scope="module")
-def sieve_report():
-    return suites.suite_sieve(0, deep=True, threads=THREADS)
-
-
-def _checks(report):
-    return {c.name: c for c in report.checks}
-
-
-def test_criterion_01_local_densities():
-    t0 = time.time()
-    ok = density.sigma(4).sigma == 8
-    ok &= density.sigma(9).sigma == 27
-    ok &= density.sigma(25).sigma == 45
-    third = (Fraction(1) - Fraction(density.sigma(4).sigma, 16)) * (
-        Fraction(1) - Fraction(density.sigma(9).sigma, 81)
+def test_criterion_01_local_densities(suite_run):
+    run = suite_run("density")
+    ok = _all_ok(run, ["sigma_small_enumeration", "one_third_factor_exact", "sigma_p2_formula_le_100"])
+    ok &= run.seconds < 30
+    _report(
+        1,
+        ok,
+        "sigma(4,9,25)=(8,27,45), 1/3 factor exact, sigma(p^2)=2p^2-p for 3<p<=100 "
+        f"({run.seconds:.1f}s)",
     )
-    ok &= third == Fraction(1, 3)
-    bad = [
-        p
-        for p in arith.primes_up_to(100)
-        if p > 3 and density.sigma(p * p).sigma != 2 * p * p - p
-    ]
-    ok &= not bad
-    el = time.time() - t0
-    ok &= el < 30
-    _report(1, ok, f"sigma(4,9,25)=(8,27,45), 1/3 factor exact, sigma(p^2)=2p^2-p for 3<p<=100 ({el:.1f}s)")
 
 
-def test_criterion_02_constant_agreement():
-    t0 = time.time()
-    e1 = density.euler_product(1, 10**5)
-    e2 = density.euler_product(2, 10**5)
-    w1, w2 = e1.hi - e1.lo, e2.hi - e2.lo
-    ok = w1 < 1e-9 and w2 < 1e-9
-    ok &= e1.lo <= e2.hi and e2.lo <= e1.hi
-    ok &= all(density.per_prime_identity(p) for p in arith.primes_up_to(10**4) if p > 3)
-    el = time.time() - t0
-    ok &= el < 30
-    _report(2, ok, f"C={e2.value:.12f}, widths=({w1:.2e},{w2:.2e}), per-prime identity p<=1e4 exact ({el:.1f}s)")
+def test_criterion_02_constant_agreement(suite_run):
+    run = suite_run("density")
+    ok = _all_ok(run, ["euler_products_P1e5_overlap_width", "per_prime_identity_1e4"])
+    ok &= run.seconds < 30
+    c = run.check("euler_products_P1e5_overlap_width")
+    _report(
+        2,
+        ok,
+        f"{c.detail}, max width {c.deviation:.2e}, per-prime identity p<=1e4 exact "
+        f"({run.seconds:.1f}s)",
+    )
 
 
-def test_criterion_03_expsum_identity_suite(expsum_report):
-    ch = _checks(expsum_report)
+def test_criterion_03_expsum_identity_suite(suite_run):
+    run = suite_run("expsum")
     need = [
         "exptrans_exhaustive_l15",
         "explicit_E_vs_brute_l30",
@@ -84,35 +77,30 @@ def test_criterion_03_expsum_identity_suite(expsum_report):
         "lemma3_500_random",
         "crt_splits_100_frames",
     ]
-    ok = all(ch[n].ok for n in need)
-    dev = max(ch[n].deviation for n in need)
-    _report(3, ok, f"exptrans/explicit-E/gauss_f/Kloosterman/Lemma3/CRT all pass, max dev {dev:.2e}")
+    dev = max(run.check(n).deviation for n in need)
+    _report(3, _all_ok(run, need), f"exptrans/explicit-E/gauss_f/Kloosterman/Lemma3/CRT all pass, max dev {dev:.2e}")
 
 
-def test_criterion_04_loxton_schmidt_bound(expsum_report):
-    c = _checks(expsum_report)["loxton_1000_random_cubics"]
+def test_criterion_04_loxton_schmidt_bound(suite_run):
+    c = suite_run("expsum").check("loxton_1000_random_cubics")
     _report(4, c.ok and c.deviation == 0, f"1000 random cubic phases Q<=500, violations={int(c.deviation)} ({c.detail})")
 
 
-def test_criterion_05_poisson_two_sided():
-    t0 = time.time()
-    rep = suites.suite_poisson(0)
-    ch = _checks(rep)
-    ok = rep.ok
-    el = time.time() - t0
-    ok &= el < 120
+def test_criterion_05_poisson_two_sided(suite_run):
+    run = suite_run("poisson")
+    ok = run.report.ok and run.seconds < 120
     _report(
         5,
         ok,
         "selfdual<1e-10 "
-        f"(dev {ch['gaussian_selfdual_1d'].deviation:.1e}), frames (l=5,X=2) rel "
-        f"{ch['poisson_frame_l5_X2'].deviation:.1e}, (l=7,X=3) rel "
-        f"{ch['poisson_frame_l7_X3'].deviation:.1e} ({el:.1f}s)",
+        f"(dev {run.check('gaussian_selfdual_1d').deviation:.1e}), frames (l=5,X=2) rel "
+        f"{run.check('poisson_frame_l5_X2').deviation:.1e}, (l=7,X=3) rel "
+        f"{run.check('poisson_frame_l7_X3').deviation:.1e} ({run.seconds:.1f}s)",
     )
 
 
-def test_criterion_06_oscillatory_integrals(oscint_report):
-    ch = _checks(oscint_report)
+def test_criterion_06_oscillatory_integrals(suite_run):
+    run = suite_run("oscint")
     need = [
         "I_beta_to_0_gaussian_limit",
         "I1_vs_finite_difference",
@@ -120,82 +108,73 @@ def test_criterion_06_oscillatory_integrals(oscint_report):
         "station_envelope_10x_median",
         "omega_decay_regime_below_1e-6",
     ]
-    ok = all(ch[n].ok for n in need)
     _report(
         6,
-        ok,
-        f"Gaussian limit dev {ch['I_beta_to_0_gaussian_limit'].deviation:.1e}, FD dev "
-        f"{ch['I1_vs_finite_difference'].deviation:.1e}, station max/median "
-        f"{ch['station_envelope_10x_median'].deviation:.2f}, |Omega| decay regime "
-        f"{ch['omega_decay_regime_below_1e-6'].deviation:.1e}",
+        _all_ok(run, need),
+        f"Gaussian limit dev {run.check('I_beta_to_0_gaussian_limit').deviation:.1e}, FD dev "
+        f"{run.check('I1_vs_finite_difference').deviation:.1e}, station max/median "
+        f"{run.check('station_envelope_10x_median').deviation:.2f}, |Omega| decay regime "
+        f"{run.check('omega_decay_regime_below_1e-6').deviation:.1e}",
     )
 
 
-def test_criterion_07_characters():
-    t0 = time.time()
-    rep = suites.suite_characters(0)
-    ch = _checks(rep)
+def test_criterion_07_characters(suite_run):
+    run = suite_run("characters")
     need = [
         "orthogonality_q60",
         "tau_primitive_sqrtq_200",
         "decomposition_identity_q20_r12",
     ]
-    ok = all(ch[n].ok for n in need)
-    el = time.time() - t0
-    ok &= el < 180
+    ok = _all_ok(run, need) and run.seconds < 180
     _report(
         7,
         ok,
-        f"orthogonality q<=60, |tau|=sqrt(q) dev {ch['tau_primitive_sqrtq_200'].deviation:.1e}, "
-        f"decomposition dev {ch['decomposition_identity_q20_r12'].deviation:.1e} ({el:.1f}s)",
+        f"orthogonality q<=60, |tau|=sqrt(q) dev {run.check('tau_primitive_sqrtq_200').deviation:.1e}, "
+        f"decomposition dev {run.check('decomposition_identity_q20_r12').deviation:.1e} ({run.seconds:.1f}s)",
     )
 
 
-def test_criterion_08_counting(sieve_report):
-    ch = _checks(sieve_report)
+def test_criterion_08_counting(suite_run):
+    run = suite_run("sieve")
     need = [
         "oracle_equality_X_1234",
         "mobius_sieve_identity_X123",
         "exact_count_X1_is_4",
         "worker_determinism_1_4_16",
     ]
-    ok = all(ch[n].ok for n in need)
     _report(
         8,
-        ok,
+        _all_ok(run, need),
         f"oracle equality X=1..4 exact, Mobius identity X<=3 exact, count(1)=4, "
-        f"bit-identical over 1/4/16 workers ({ch['worker_determinism_1_4_16'].detail})",
+        f"bit-identical over 1/4/16 workers ({run.check('worker_determinism_1_4_16').detail})",
     )
 
 
-def test_criterion_09_main_term_trend(sieve_report):
-    ch = _checks(sieve_report)
-    ok = ch["main_term_trend_X6_vs_X3"].ok and ch["residual_over_X7_bounded"].ok
-    _report(
-        9,
-        ok,
-        f"{ch['main_term_trend_X6_vs_X3'].detail}; {ch['residual_over_X7_bounded'].detail}",
-    )
+def test_criterion_09_main_term_trend(suite_run):
+    run = suite_run("sieve")
+    trend, resid = run.check("main_term_trend_X6_vs_X3"), run.check("residual_over_X7_bounded")
+    _report(9, trend.ok and resid.ok, f"{trend.detail}; {resid.detail}")
 
 
-def test_criterion_10_exponent_balancer():
-    t0 = time.time()
-    res = density.paper_balance()
-    ok = res.exponent == Fraction(184, 27) == Fraction(7) - Fraction(5, 27)
-    ok &= res.t == Fraction(124, 27) and res.kappa == Fraction(16, 31)
-    ok &= res.grid_best >= 184 / 27 - 1e-6
-    el = time.time() - t0
-    ok &= el < 60
-    _report(10, ok, f"preset paper -> 184/27 at (124/27, 16/31); grid floor {res.grid_best:.9f} ({el:.1f}s)")
+def test_criterion_10_exponent_balancer(suite_run):
+    run = suite_run("density")
+    c = run.check("balance_paper_preset")
+    ok = c.ok and run.seconds < 60
+    _report(10, ok, f"preset paper -> 184/27 at (124/27, 16/31); {c.detail} ({run.seconds:.1f}s)")
 
 
-def test_remaining_module_invariants(expsum_report, oscint_report, sieve_report):
-    """Everything else the suites assert beyond the numbered criteria."""
-    for rep in (
-        expsum_report,
-        oscint_report,
-        sieve_report,
-        suites.suite_arith(0),
-    ):
-        fail = rep.first_failure()
-        assert fail is None, f"{rep.suite}.{fail.name}: {fail.detail}"
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_remaining_module_invariants(suite_run, name):
+    """Every check of every suite, beyond the numbered criteria."""
+    fail = suite_run(name).report.first_failure()
+    assert fail is None, f"{name}.{fail.name}: {fail.detail}"
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_suite_check_names(suite_run, name):
+    """No check is dropped or renamed without this list changing with it."""
+    if name == "sieve":
+        want = SIEVE_CHECKS
+    else:
+        want = set(json.loads(REFERENCE.read_text())["suite_checks"][name])
+    assert {c.name for c in suite_run(name).report.checks} == want

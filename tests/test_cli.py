@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -105,7 +106,7 @@ def test_balance_terms_file(tmp_path):
 def test_time_budget_guard():
     r = run_cli(
         ["verify", "--suite", "expsum"],
-        env={"DELTASIEVE_MAX_SECONDS": "0.0", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "DELTASIEVE_MAX_SECONDS": "0.0"},
     )
     assert r.returncode == 1
     assert "DELTASIEVE_MAX_SECONDS" in r.stderr

@@ -28,16 +28,8 @@ def test_sigma_structured_path():
         dn.sigma_prime_square_structured(3)
 
 
-def test_sigma_multiplicative():
-    for q1, q2 in ((4, 9), (4, 25), (9, 25), (8, 27), (5, 49)):
-        assert dn.sigma(q1 * q2).sigma == dn.sigma(q1).sigma * dn.sigma(q2).sigma
 
 
-def test_one_third_factor():
-    f = (Fraction(1) - Fraction(dn.sigma(4).sigma, 16)) * (
-        Fraction(1) - Fraction(dn.sigma(9).sigma, 81)
-    )
-    assert f == Fraction(1, 3)
 
 
 def test_per_prime_identity():
@@ -101,11 +93,6 @@ def test_balance_single_term():
     assert res.exponent == 6
 
 
-def test_balance_dropped_term_is_smaller():
-    terms = dn.paper_terms()
-    del terms[1]
-    res = dn.balance_exponents(terms)
-    assert res.grid_best < 184 / 27 - 0.5
 
 
 def test_balance_empty_terms():

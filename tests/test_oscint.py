@@ -13,10 +13,6 @@ def test_problem_validation():
         oi.OscillatoryProblem(0.0, 1.0, tolerance=1e-5)
 
 
-def test_I_gaussian_limit():
-    for alpha in (-2.0, -0.5, 0.0, 1.0, 2.5):
-        v = oi.I_eval(oi.OscillatoryProblem(alpha, 1e-9, tolerance=1e-8))
-        assert abs(v - math.exp(-math.pi * alpha * alpha)) < 1e-5
 
 
 def test_I_at_zero_alpha_bounded():
@@ -70,18 +66,6 @@ def test_I1_G1_pair():
     assert g1 == oi.G1_eval(p, 1.0)
 
 
-def test_G1_matches_dG_ds():
-    # FD of G through the parameter maps; the closed form drops only
-    # amplitude-derivative terms, a few percent at this point
-    ctx = oi.ParamContext(u=-40, s=2.0, X=1.0)
-    alpha, beta, _ = oi.param_map(ctx)
-    g1 = oi.G1_eval(oi.OscillatoryProblem(alpha, beta), ctx.s)
-    h = 1e-5 * ctx.s
-    fd = (
-        oi.G_of_s(oi.ParamContext(u=-40, s=ctx.s + h, X=1.0))
-        - oi.G_of_s(oi.ParamContext(u=-40, s=ctx.s - h, X=1.0))
-    ) / (2 * h)
-    assert abs(fd - g1) <= 0.1 * abs(g1)
 
 
 def test_param_map():

@@ -34,7 +34,7 @@ from .density import (
     euler_product,
     paper_balance,
 )
-from .sieve import MAIN_TERM_CSV_COLUMNS, compare_main_term
+from .sieve import MAIN_TERM_CSV_COLUMNS, CountConfig, compare_main_term
 from .suites import TimeBudgetExceeded, run_suite
 
 EXIT_OK = 0
@@ -172,6 +172,12 @@ def _cmd_count(args) -> int:
         xs = [float(x) for x in args.X.split(",")]
     except ValueError:
         print(f"bad --X list: {args.X!r}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        for X in xs:
+            CountConfig(X=X, mode=args.mode, threads=args.threads)
+    except ValueError as exc:
+        print(f"bad count arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = compare_main_term(xs, mode=args.mode, threads=args.threads)
     if args.format == "json":

@@ -5,25 +5,34 @@ identity, the k > xi tail, and main-term comparisons.
 Exactness strategy: per-A stripes are sieved by every prime
 p <= sqrt(Delta_max); a surviving pair is certified square-free because
 any square divisor of Delta has a prime factor at most sqrt(|Delta|).
-Stripe arithmetic is vectorized over A for each prime:
+The rows of A are cut into chunks; for each chunk:
 
   * 4 | Delta  iff  B is even            (column rule)
   * 9 | Delta  iff  3 | A                (whole stripes die)
-  * p | A (p >= 5): p^2 | Delta iff p | B
-  * otherwise the B-roots of 27 B^2 = -4 A^3 (mod p^2) come from a
-    vectorized Tonelli-Shanks mod p plus a Hensel lift to p^2.
+  * p | A (5 <= p <= max |A|): p^2 | Delta iff p | B
+  * otherwise the B-roots of 27 B^2 = -4 A^3 (mod p^2) come from the
+    prime-blocked root kernel: each numpy call solves a block of primes
+    times the chunk's live rows (at most _BLOCK pairs), one prime per
+    row, by Tonelli-Shanks mod p with per-prime constants broadcast
+    over the row, then a Hensel lift to p^2 whose inverse comes from the
+    Legendre squaring chain.
 
-Pairs with Delta = 0 are excluded everywhere (they lie in the 3 | A
-stripes, which the sieve kills anyway; the exclusion is explicit).
+Each process (the caller, or each pool worker) builds the per-prime
+constants once and marks every chunk it handles in one reused buffer
+of chunk_size stripes.  Pairs with Delta = 0 are excluded everywhere
+(they lie in the 3 | A stripes, which the sieve kills anyway; the
+exclusion is explicit).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +61,16 @@ class CountConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "smoothed"):
             raise ValueError("mode must be exact or smoothed")
+        if not (math.isfinite(self.X) and self.X > 0):
+            raise ValueError(f"X must be positive and finite, got {self.X}")
         if self.mode == "exact" and self.X > MAX_EXACT_X:
             raise ValueError(f"exact mode guard: X <= {MAX_EXACT_X}")
         if self.mode == "smoothed" and self.X > 4:
             raise ValueError("smoothed mode guard: X <= 4")
-        if self.X <= 0:
-            raise ValueError("X must be positive")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -73,147 +86,267 @@ class CountResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized modular kernels (int64-safe for p^2 < 2^41)
+# root kernel: one row per prime p >= 5, int64 products of residues mod p
 
 
-def _mulmod(a, b, m):
-    """(a * b) % m elementwise for 0 <= a, b < m < 2^41."""
-    hi = b >> 21
-    lo = b & ((1 << 21) - 1)
-    return ((a * hi % m) * (1 << 21) + a * lo) % m
+class _Primes(NamedTuple):
+    """Per-prime constants of the root kernel.  With p - 1 = q 2^s, q odd:
+    h = (q - 1) / 2, zq = z^q for a quadratic non-residue z, and the
+    inverses of 27 and 54 mod p."""
+
+    p: np.ndarray
+    h: np.ndarray
+    s: np.ndarray
+    zq: np.ndarray
+    inv27: np.ndarray
+    inv54: np.ndarray
+
+    @classmethod
+    def of(cls, ps) -> _Primes:
+        p = np.asarray(ps, dtype=np.int64)
+        low = (p - 1) & (1 - p)  # 2^s
+        s = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1
+        q = (p - 1) // low
+        z = np.zeros_like(p)
+        todo = np.arange(p.size)
+        cand = 2
+        while todo.size:
+            pt = p[todo]
+            base = np.full(todo.size, cand, dtype=np.int64)
+            nonres = _powmod(base, (pt - 1) // 2, pt) == pt - 1
+            z[todo[nonres]] = cand
+            todo = todo[~nonres]
+            cand += 1
+        inv27 = _powmod(np.full(p.size, 27, dtype=np.int64), p - 2, p)
+        return cls(p, (q - 1) // 2, s, _powmod(z, q, p), inv27, inv27 * ((p + 1) // 2) % p)
+
+    def take(self, sel) -> _Primes:
+        """The constants of the primes p[sel]."""
+        return _Primes(*(f[sel] for f in self))
 
 
-def _powmod(base, exp: int, m: int):
-    """base**exp % m elementwise for scalar exp, m < 2^31."""
-    r = np.ones_like(base)
-    b = base % m
-    while exp:
-        if exp & 1:
-            r = r * b % m
-        b = b * b % m
-        exp >>= 1
+def _column(v: np.ndarray, ndim: int) -> np.ndarray:
+    """v (one value per row) shaped to broadcast against an ndim-array."""
+    return v.reshape(v.shape + (1,) * (ndim - 1))
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """base**exp % m, with one exponent exp[i] >= 0 and one modulus
+    m[i] < 2^31 for each row base[i] of a 1-D or 2-D base."""
+    mm = _column(m, base.ndim)
+    b = base % mm
+    r = np.ones_like(b)
+    for k in range(int(exp.max(initial=0)).bit_length()):
+        if k:
+            b = b * b % mm
+        sel = np.flatnonzero((exp >> k) & 1)
+        r[sel] = r[sel] * b[sel] % mm[sel]
     return r
 
 
-def _sqrt_mod_p_vec(t: np.ndarray, p: int) -> np.ndarray:
-    """Square roots mod p of an array of quadratic residues (unit t)."""
-    if p % 4 == 3:
-        return _powmod(t, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    r = _powmod(t, (q + 1) // 2, p)
-    tt = _powmod(t, q, p)
-    c = np.full(t.shape, pow(z, q, p), dtype=np.int64)
-    m = np.full(t.shape, s, dtype=np.int64)
-    active = np.flatnonzero(tt != 1)
+def _sqrt_mod_p_vec(x: np.ndarray, pr: _Primes):
+    """Square roots mod p of x, where row i of x (1-D or 2-D, entries in
+    [0, p)) belongs to the prime pr.p[i].
+
+    Returns (i, r, xinv): the flat indices of the entries of x that are
+    nonzero squares, a root r of each, and x^-1 mod p.  Tonelli-Shanks:
+    w = x^h gives r = w x and tt = x^q = w^2 x; the Legendre symbol is
+    tt^(2^(s-1)), and the same squaring chain gives
+    x^-1 = x^(p-2) = w^2 prod_{j<s} tt^(2^j), whose last factor is 1
+    for a square.
+    """
+    p = _column(pr.p, x.ndim)
+    w = _powmod(x, pr.h, pr.p)
+    xinv = w * w % p
+    tt = xinv * x % p
+    r = w * x % p
+    chain = tt.copy()
+    for j in range(int(pr.s.max(initial=1)) - 1):
+        sel = np.flatnonzero(pr.s > j + 1)
+        xinv[sel] = xinv[sel] * chain[sel] % p[sel]
+        chain[sel] = chain[sel] * chain[sel] % p[sel]
+    i = np.flatnonzero(chain.ravel() == 1)
+    r, xinv, tt = r.ravel()[i], xinv.ravel()[i], tt.ravel()[i]
+    act = np.flatnonzero(tt != 1)  # only where s >= 2
+    if act.size:
+        rows = i[act] // (x.size // pr.p.size)
+        r[act] = _tonelli_steps(r[act], tt[act], pr.take(rows))
+    return i, r, xinv
+
+
+def _tonelli_steps(r: np.ndarray, tt: np.ndarray, pr: _Primes) -> np.ndarray:
+    """The Tonelli-Shanks loop from r = x^((q+1)/2), tt = x^q != 1 (one
+    prime per entry): returns a root of x."""
+    p = pr.p
+    c = pr.zq.copy()
+    m = pr.s.copy()
+    r = r.copy()
+    tt = tt.copy()
+    active = np.arange(r.size)
     while active.size:
+        pa = p[active]
         t2 = tt[active].copy()
         i = np.zeros(active.size, dtype=np.int64)
-        unresolved = t2 != 1
-        while unresolved.any():
-            t2[unresolved] = t2[unresolved] ** 2 % p
+        unresolved = np.flatnonzero(t2 != 1)
+        while unresolved.size:
+            t2[unresolved] = t2[unresolved] ** 2 % pa[unresolved]
             i[unresolved] += 1
-            unresolved = t2 != 1
+            unresolved = unresolved[t2[unresolved] != 1]
         e = m[active] - i - 1
-        b = c[active].copy()
-        kmax = int(e.max(initial=0))
-        for k in range(kmax):
-            sel = e > k
-            b[sel] = b[sel] ** 2 % p
-        r[active] = r[active] * b % p
-        cnew = b * b % p
+        b = c[active]
+        for k in range(int(e.max(initial=0))):
+            sel = np.flatnonzero(e > k)
+            b[sel] = b[sel] ** 2 % pa[sel]
+        r[active] = r[active] * b % pa
+        cnew = b * b % pa
         c[active] = cnew
-        tt[active] = tt[active] * cnew % p
+        tt[active] = tt[active] * cnew % pa
         m[active] = i
         active = active[tt[active] != 1]
     return r
 
 
-def _lift_root(r: np.ndarray, t2: np.ndarray, p: int) -> np.ndarray:
-    """Hensel lift of r (root mod p of x^2 = t2) to a root mod p^2."""
-    p2 = p * p
-    diff = (t2 - r * r) % p2
-    k = (diff // p) % p
-    inv2r = _powmod(2 * r % p, p - 2, p)
-    return r + p * (k * inv2r % p)
+def _lift_root(r: np.ndarray, xinv: np.ndarray, a3: np.ndarray, pr: _Primes) -> np.ndarray:
+    """Hensel lift of a root r mod p of 27 B^2 + 4 A^3 (x = r^2, a3 = A^3)
+    to the root r + p k mod p^2, with k = -(f(r) / p) (54 r)^-1 and
+    (54 r)^-1 = r x^-1 / 54 mod p."""
+    p = pr.p
+    k = (-((27 * r * r + 4 * a3) // p)) % p * r % p * xinv % p * pr.inv54 % p
+    return r + p * k
+
+
+def _stripe_roots(a3: np.ndarray, pr: _Primes):
+    """B-roots of 27 B^2 + 4 A^3 = 0 (mod p^2) for row i of a3 (shape
+    (len(pr), k) or broadcastable to it) against the prime pr.p[i].
+
+    Returns (i, R): flat indices into the (len(pr), k) grid of the pairs
+    with p not dividing A that have roots, which are R and p^2 - R.
+    Pairs with p | A get none here.
+    """
+    p = _column(pr.p, 2)
+    x = (-4 * a3) % p * _column(pr.inv27, 2) % p  # B^2 = x (mod p)
+    i, r, xinv = _sqrt_mod_p_vec(x, pr)
+    rows = i // x.shape[1]
+    a3i = np.broadcast_to(a3, x.shape).ravel()[i]
+    return i, _lift_root(r, xinv, a3i, pr.take(rows))
+
+
+def stripe_root_sets(As, ps) -> list[set[int]]:
+    """For each pair (A, p), p >= 5 a prime not dividing A: the root
+    kernel's B mod p^2 with 27 B^2 + 4 A^3 = 0 (mod p^2)."""
+    A = np.asarray(As, dtype=np.int64)
+    pr = _Primes.of(ps)
+    i, R = _stripe_roots((A * A * A)[:, None], pr)
+    sets = [set() for _ in range(A.size)]
+    for j, root in zip(i.tolist(), R.tolist()):
+        p2 = int(pr.p[j]) ** 2
+        sets[j] = {root, p2 - root}
+    return sets
 
 
 # ---------------------------------------------------------------------------
 # stripe sieve
 
+# (prime, A) pairs solved per call of the root kernel: bounds its
+# temporaries to a few hundred KiB
+_BLOCK = 8192
 
-def _mark_chunk(As: np.ndarray, Bmax: int, pmax: int) -> np.ndarray:
-    """Boolean matrix (len(As), 2*Bmax+1): True where some p <= pmax has
-    p^2 | Delta(A, B), B = column - Bmax."""
-    L = 2 * Bmax + 1
-    C = As.size
-    marked = np.zeros((C, L), dtype=bool)
-    marked[As % 3 == 0, :] = True
-    marked[:, Bmax % 2 :: 2] = True  # B even <=> 4 | Delta
 
-    live = np.flatnonzero(As % 3 != 0)
-    if live.size == 0:
-        return marked
-    A = As[live].astype(np.int64)
-    a3 = A * A * A  # |A| <= X^4 <= 4096 so A^3 fits easily
+class _StripeSieve:
+    """One process's share of a count: the kernel constants of every prime
+    5 <= p <= pmax and one mark buffer of `rows` stripes, reused for every
+    chunk of A the process sieves."""
 
-    for p in primes_up_to(pmax):
-        if p < 5:
-            continue
-        p2 = p * p
-        for row in np.flatnonzero(As % p == 0):
-            marked[row, Bmax % p :: p] = True  # p | A: p^2 | Delta iff p | B
-        act = np.flatnonzero(A % p != 0)
-        if act.size == 0:
-            continue
-        t = _mulmod((-4 * a3[act]) % p2, np.int64(pow(27, -1, p2)), p2)
-        tp = t % p
-        ls = _powmod(tp, (p - 1) // 2, p)
-        sol = np.flatnonzero(ls == 1)
-        if sol.size == 0:
-            continue
-        r = _sqrt_mod_p_vec(tp[sol], p)
-        r2 = _lift_root(r, t[sol], p)
-        rows = live[act[sol]]
-        if p2 < L:
-            for row, root in zip(rows, r2):
-                marked[row, (root + Bmax) % p2 :: p2] = True
-                marked[row, (p2 - root + Bmax) % p2 :: p2] = True
-        else:
-            for roots in (r2, p2 - r2):
+    def __init__(self, rows: int, Bmax: int, pmax: int, X: float, mode: str):
+        self.Bmax, self.X, self.mode = Bmax, X, mode
+        primes = _Primes.of(primes_up_to(pmax)[2:])
+        # blocks of one s (mostly), in increasing p: s = 1 needs no
+        # Tonelli-Shanks steps, and exponents of one block have similar length
+        self.primes = primes.take(np.lexsort((primes.p, primes.s)))
+        self.marked = np.empty((rows, 2 * Bmax + 1), dtype=bool)
+
+    def mark(self, As: np.ndarray) -> np.ndarray:
+        """Boolean matrix (len(As), 2*Bmax+1), a view of the buffer: True
+        where some p <= pmax has p^2 | Delta(A, B), B = column - Bmax."""
+        Bmax = self.Bmax
+        L = 2 * Bmax + 1
+        marked = self.marked[: As.size]
+        marked[...] = False
+        marked[As % 3 == 0, :] = True
+        marked[:, Bmax % 2 :: 2] = True  # B even <=> 4 | Delta
+
+        live = np.flatnonzero(As % 3 != 0)
+        if live.size == 0:
+            return marked
+        A = As[live]
+        a3 = A * A * A  # |A| <= X^4 <= 4096 so A^3 fits easily
+
+        ps = self.primes.p
+        small = ps[ps <= np.abs(A).max()]
+        for pi, ai in zip(*np.nonzero(A % small[:, None] == 0)):
+            p = int(small[pi])
+            marked[live[ai], Bmax % p :: p] = True  # p | A: p^2 | Delta iff p | B
+
+        step = max(1, _BLOCK // A.size)
+        for lo in range(0, ps.size, step):
+            pr = self.primes.take(slice(lo, lo + step))
+            i, R = _stripe_roots(a3[None, :], pr)
+            p2 = pr.p[i // A.size] ** 2
+            rows = live[i % A.size]
+            few = np.flatnonzero(p2 < L)  # several columns per root
+            for j in few:
+                q2, row, root = int(p2[j]), rows[j], int(R[j])
+                marked[row, (root + Bmax) % q2 :: q2] = True
+                marked[row, (q2 - root + Bmax) % q2 :: q2] = True
+            for roots in (R, p2 - R):
                 idx = (roots + Bmax) % p2
                 ok = idx < L
                 marked[rows[ok], idx[ok]] = True
-    return marked
+        return marked
+
+    def count(self, a_lo: int, a_hi: int) -> list[tuple]:
+        """(A, survivors, sum B, sum B^2 mod 2^61-1[, weighted sum]) for each
+        stripe a_lo <= A < a_hi."""
+        As = np.arange(a_lo, a_hi, dtype=np.int64)
+        marked = self.mark(As)
+        w = gaussian_weight()
+        out = []
+        Bs = np.arange(-self.Bmax, self.Bmax + 1, dtype=np.int64)
+        X, mode = self.X, self.mode
+        for i, A in enumerate(As):
+            surv = Bs[~marked[i]]
+            if surv.size:
+                # Delta = 0 only at (A, B) = (-3t^2, +-2t^3); explicit exclusion
+                dz = 4 * int(A) ** 3 + 27 * surv * surv != 0
+                surv = surv[dz]
+            cnt = int(surv.size)
+            bsum = int(surv.sum()) if cnt else 0
+            b2 = int((surv * surv % (2**61 - 1)).sum() % (2**61 - 1)) if cnt else 0
+            if mode == "smoothed":
+                wsum = float(w.value(A / X**4) * np.sum(w.value(surv / X**6))) if cnt else 0.0
+                out.append((int(A), cnt, bsum, b2, wsum))
+            else:
+                out.append((int(A), cnt, bsum, b2))
+        return out
 
 
-def _chunk_worker(args):
-    (a_lo, a_hi, Bmax, pmax, X, mode) = args
-    As = np.arange(a_lo, a_hi, dtype=np.int64)
-    marked = _mark_chunk(As, Bmax, pmax)
-    w = gaussian_weight()
-    out = []
-    Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
-    for i, A in enumerate(As):
-        surv = Bs[~marked[i]]
-        if surv.size:
-            # Delta = 0 only at (A, B) = (-3t^2, +-2t^3); explicit exclusion
-            dz = 4 * int(A) ** 3 + 27 * surv * surv != 0
-            surv = surv[dz]
-        cnt = int(surv.size)
-        bsum = int(surv.sum()) if cnt else 0
-        b2 = int((surv * surv % (2**61 - 1)).sum() % (2**61 - 1)) if cnt else 0
-        if mode == "smoothed":
-            wsum = float(w.value(A / X**4) * np.sum(w.value(surv / X**6))) if cnt else 0.0
-            out.append((int(A), cnt, bsum, b2, wsum))
-        else:
-            out.append((int(A), cnt, bsum, b2))
-    return out
+_worker_sieve: _StripeSieve | None = None  # set in each pool worker process
+
+
+def _init_worker(*args):
+    global _worker_sieve
+    _worker_sieve = _StripeSieve(*args)
+
+
+def _pool_chunk(bounds: tuple[int, int]) -> list[tuple]:
+    return _worker_sieve.count(*bounds)
+
+
+def _check_int64_headroom(Amax: int, pmax: int):
+    """The kernel's int64 intermediates are below max(p^2, 27 p^2 + 4 |A|^3)
+    (products of two residues mod p, and f(r) in the Hensel step)."""
+    if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
+        raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
 
 
 def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
@@ -228,17 +361,23 @@ def _run_count(cfg: CountConfig) -> CountResult:
     Amax, Bmax = _box_bounds(cfg)
     dmax = 4 * Amax**3 + 27 * Bmax**2
     pmax = math.isqrt(dmax)
+    _check_int64_headroom(Amax, pmax)
     chunks = []
     lo = -Amax
     while lo <= Amax:
         hi = min(lo + cfg.chunk_size, Amax + 1)
-        chunks.append((lo, hi, Bmax, pmax, cfg.X, cfg.mode))
+        chunks.append((lo, hi))
         lo = hi
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(_chunk_worker, chunks))
+    args = (min(cfg.chunk_size, 2 * Amax + 1), Bmax, pmax, cfg.X, cfg.mode)
+    workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=args
+        ) as pool:
+            parts = list(pool.map(_pool_chunk, chunks))
     else:
-        parts = [_chunk_worker(c) for c in chunks]
+        sieve = _StripeSieve(*args)
+        parts = [sieve.count(lo, hi) for lo, hi in chunks]
     stripes = [row for part in parts for row in part]
     stripes.sort(key=lambda row: row[0])
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()

@@ -851,13 +851,15 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
     rel = abs(sm - direct) / abs(direct)
     add(CheckResult("smoothed_X2_vs_direct_oracle", rel < 1e-10, rel, f"sum={sm:.6f}"))
 
-    # marking soundness: scalar-path re-check of sampled (A, p) root sets
+    # the sieve's root kernel against the scalar path on sampled (A, p):
+    # the same root set both ways (none for a non-residue), and every root
+    # a root
     rng = np.random.default_rng(seed)
     Amax, Bmax = 3**4, 3**6
     dmax = 4 * Amax**3 + 27 * Bmax**2
     ps = arith.primes_up_to(math.isqrt(dmax))
     checked = 0
-    bad = 0
+    draws = []
     while checked < 10**5:
         A = int(rng.integers(-Amax, Amax + 1))
         checked += 1
@@ -868,10 +870,14 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
             continue
         p2 = p * p
         t = (-4 * A**3) * pow(27, -1, p2) % p2
-        for rt in arith.sqrt_mod_prime_power(t, p, 2):
-            checked += 1
-            if (27 * rt.value * rt.value + 4 * A**3) % p2 != 0:
-                bad += 1
+        want = {rt.value for rt in arith.sqrt_mod_prime_power(t, p, 2)}
+        checked += len(want)
+        draws.append((A, p, want))
+    got = sieve.stripe_root_sets([d[0] for d in draws], [d[1] for d in draws])
+    bad = sum(
+        roots != want or any((27 * b * b + 4 * A**3) % (p * p) for b in roots)
+        for roots, (A, p, want) in zip(got, draws)
+    )
     add(CheckResult("stripe_root_soundness_1e5", bad == 0, bad, f"{checked} samples"))
 
     if deep:

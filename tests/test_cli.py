@@ -79,8 +79,10 @@ def test_count_payload_deterministic_modulo_seconds(tmp_path):
 
 
 def test_count_bad_X():
-    r = run_cli(["count", "--X", "abc"])
-    assert r.returncode == 2
+    for args in (["--X", "abc"], ["--X", "nan"], ["--X", "inf"], ["--X", "1", "--threads", "0"]):
+        r = run_cli(["count", *args])
+        assert r.returncode == 2, args
+        assert r.stdout == ""
 
 
 def test_balance_paper():

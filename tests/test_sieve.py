@@ -1,6 +1,19 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deltasieve import arith
 from deltasieve import sieve as sv
+
+# X = 8 (MAX_EXACT_X) is the largest box: primes up to its sqrt(Delta_max)
+AMAX_8 = 8**4
+PMAX_8 = math.isqrt(4 * 8**12 + 27 * 8**12)
+PRIMES_8 = arith.primes_up_to(PMAX_8)[2:]  # p >= 5
+kernel_settings = settings(derandomize=True, max_examples=200, deadline=None)
+prime = st.one_of(st.sampled_from(PRIMES_8[:100]), st.sampled_from(PRIMES_8))
 
 
 def test_delta_value():
@@ -18,6 +31,52 @@ def test_config_guards():
         sv.CountConfig(X=5.0, mode="smoothed")
     with pytest.raises(ValueError):
         sv.CountConfig(X=1.0, mode="weird")
+    for bad in (
+        dict(X=float("nan")),
+        dict(X=float("inf")),
+        dict(X=0.0),
+        dict(X=1.0, threads=0),
+        dict(X=1.0, threads=-3),
+        dict(X=1.0, chunk_size=0),
+    ):
+        with pytest.raises(ValueError):
+            sv.CountConfig(**bad)
+
+
+def test_int64_headroom_guard():
+    sv._check_int64_headroom(AMAX_8, PMAX_8)
+    with pytest.raises(ValueError):
+        sv._check_int64_headroom(0, math.isqrt(2**63 // 27) + 1)
+
+
+def test_pool_is_bounded(monkeypatch):
+    """threads = 10**6 asks for at most min(cpu_count, chunks) workers, and
+    one worker means no pool."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sv, "_worker_sieve", None)
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 4)
+    want = sv.exact_count(sv.CountConfig(X=2))
+    for chunk_size, expect in ((4, [4]), (12, [3]), (33, [])):  # 9, 3, 1 chunks
+        sizes.clear()
+        got = sv.exact_count(sv.CountConfig(X=2, threads=10**6, chunk_size=chunk_size))
+        assert sizes == expect
+        assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
 
 
 def test_exact_count_x1():
@@ -28,9 +87,6 @@ def test_exact_count_x1():
     by_A = {row[0]: row for row in res.stripe_summaries}
     assert by_A[0][1] == 0
     assert by_A[1][1] == 2 and by_A[-1][1] == 2
-
-
-
 
 
 
@@ -49,8 +105,6 @@ def test_delta_zero_parametrization_excluded():
     while 3 * t * t <= 3**4:
         assert by_A[-3 * t * t] == 0
         t += 1
-
-
 
 
 def test_S_term():
@@ -97,3 +151,61 @@ def test_stripe_digest_varies():
     a = sv.exact_count(sv.CountConfig(X=1))
     b = sv.exact_count(sv.CountConfig(X=2))
     assert a.stripe_digest != b.stripe_digest
+
+
+# ---------------------------------------------------------------------------
+# root kernel against Python-int references, primes up to X = 8's bound
+
+
+def roots_mod(t: int, p: int, k: int) -> set[int]:
+    return {res.value for res in arith.sqrt_mod_prime_power(t, p, k)}
+
+
+def stripe_radicand(A: int, p: int, k: int) -> int:
+    """-4 A^3 / 27 mod p^k: the B^2 of 27 B^2 + 4 A^3 = 0."""
+    pk = p**k
+    return -4 * A**3 * pow(27, -1, pk) % pk
+
+
+@kernel_settings
+@given(st.lists(st.tuples(prime, st.integers(0, PMAX_8), st.integers(0, 2 * PMAX_8)), max_size=16))
+def test_powmod_matches_pow(rows):
+    p = np.array([r[0] for r in rows], dtype=np.int64)
+    base = np.array([[b % m, (7 * b + 1) % m] for m, b, _ in rows], dtype=np.int64).reshape(-1, 2)
+    exp = np.array([r[2] for r in rows], dtype=np.int64)
+    want = [[pow(int(b), int(e), int(m)) for b in row] for row, e, m in zip(base, exp, p)]
+    assert sv._powmod(base, exp, p).tolist() == want
+    assert sv._powmod(base[:, 0], exp, p).tolist() == [w[0] for w in want]
+
+
+@kernel_settings
+@given(st.lists(st.tuples(prime, st.integers(0, PMAX_8)), max_size=32))
+def test_sqrt_mod_p_matches_arith(pairs):
+    ps = [p for p, _ in pairs]
+    xs = [v % p for p, v in pairs]
+    i, r, xinv = sv._sqrt_mod_p_vec(np.array(xs, dtype=np.int64), sv._Primes.of(ps))
+    assert i.tolist() == [j for j, (x, p) in enumerate(zip(xs, ps)) if x and roots_mod(x, p, 1)]
+    for j, root, inv in zip(i.tolist(), r.tolist(), xinv.tolist()):
+        assert root in roots_mod(xs[j], ps[j], 1)
+        assert inv == pow(xs[j], -1, ps[j])
+
+
+@kernel_settings
+@given(st.lists(st.tuples(prime, st.integers(-AMAX_8, AMAX_8)), max_size=32))
+def test_lift_and_stripe_roots_match_arith(pairs):
+    pairs = [(p, A) for p, A in pairs if A % p]
+    want = [roots_mod(stripe_radicand(A, p, 2), p, 2) for p, A in pairs]
+    assert sv.stripe_root_sets([A for _, A in pairs], [p for p, _ in pairs]) == want
+    # the Hensel step alone, from each scalar root mod p
+    lifts = [
+        (j, p, A, r0)
+        for j, (p, A) in enumerate(pairs)
+        for r0 in roots_mod(stripe_radicand(A, p, 1), p, 1)
+    ]
+    if not lifts:
+        return
+    j, p, A, r = (np.array(col, dtype=np.int64) for col in zip(*lifts))
+    xinv = np.array([pow(r0 * r0, -1, p0) for _, p0, _, r0 in lifts], dtype=np.int64)
+    R = sv._lift_root(r, xinv, A * A * A, sv._Primes.of(p))
+    for jj, root, r0, p0 in zip(j.tolist(), R.tolist(), r.tolist(), p.tolist()):
+        assert root % p0 == r0 and root in want[jj]

@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# `constant` sieves the primes up to P with a P + 1 byte bitmap (100 MB here)
+MAX_PRIME_BOUND = 10**8
+
 
 def _emit(text: str, out: str | None):
     if out:
@@ -153,6 +156,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constant(args) -> int:
+    if not 5 <= args.prime_bound <= MAX_PRIME_BOUND:
+        print(
+            f"bad --prime-bound {args.prime_bound}: need 5 <= P <= {MAX_PRIME_BOUND}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     res = euler_product(args.theorem, args.prime_bound)
     payload = {
         "theorem": res.theorem,
@@ -253,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("constant", help="Euler-product constant as an interval")
     c.add_argument("--theorem", type=int, required=True, choices=[1, 2])
-    c.add_argument("--prime-bound", type=int, default=10**5)
+    c.add_argument(
+        "--prime-bound", type=int, default=10**5, help=f"P, 5 <= P <= {MAX_PRIME_BOUND}"
+    )
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_constant)
 

@@ -6,8 +6,13 @@
     Omega           = I - G
 
 The quadrature is adaptive bisection on a fixed 15-point Gauss-Kronrod
-rule with initial panel widths capped at a quarter of the shortest local
-oscillation period, so cubic phases cannot alias through a panel.
+rule.  Its initial panels follow the local frequency of the cubic phase
+phi(z) = beta z^3 + alpha z: [-Z, Z] is cut into blocks at most 1/8 wide,
+and each block gets equal panels no wider than a quarter of the shortest
+period phi oscillates with inside that block (and never wider than 1/2).
+No panel can alias the phase, and the node count grows like the integral
+of |phi'| rather than 2 Z max|phi'|.  Each refinement round evaluates only
+the panels it creates.
 """
 
 from __future__ import annotations
@@ -59,25 +64,63 @@ class QuadratureError(RuntimeError):
     """Subdivision budget exhausted before reaching the tolerance."""
 
 
-def _adaptive_gk(f, a: float, b: float, tol: float, freq: float, max_panels: int = 400000):
+_BLOCK_WIDTH = 0.125
+
+
+def _initial_panels(a: float, b: float, alpha: float, beta: float, max_panels: int):
+    """(lo, hi) edges of the initial panels on [a, b] for the phase
+    beta z^3 + alpha z (beta >= 0), with [a, b] cut into equal blocks at
+    most _BLOCK_WIDTH wide.
+
+    On each block the phase rate |3 beta z^2 + alpha| (cycles per unit
+    length) peaks at an endpoint, or at z = 0 where it is |alpha|; the
+    block's equal panels are at most a quarter of that period wide.
+    """
+    nb = int(math.ceil((b - a) / _BLOCK_WIDTH))
+    edges = np.linspace(a, b, nb + 1)
+    x0, x1 = edges[:-1], edges[1:]
+    rate = np.maximum(np.abs(3.0 * beta * x0 * x0 + alpha), np.abs(3.0 * beta * x1 * x1 + alpha))
+    rate = np.where((x0 <= 0.0) & (x1 >= 0.0), np.maximum(rate, abs(alpha)), rate)
+    n = np.ceil((x1 - x0) * np.maximum(2.0, 4.0 * rate))
+    if not n.sum() <= max_panels:
+        raise QuadratureError(f"the initial layout needs more than {max_panels} panels")
+    n = n.astype(np.int64)
+    first = np.cumsum(n) - n
+    k = np.arange(int(n.sum())) - np.repeat(first, n)
+    lo = np.repeat(x0, n) + k * np.repeat((x1 - x0) / n, n)
+    return lo, np.append(lo[1:], b)
+
+
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """K15 values and |K15 - G7| error estimates of f on each panel."""
+    c = 0.5 * (lo + hi)
+    hw = 0.5 * (hi - lo)
+    vals = f(c[:, None] + hw[:, None] * _XGK[None, :])
+    k15 = (vals * _WGK).sum(axis=1) * hw
+    g7 = (vals[:, 1::2] * _WG).sum(axis=1) * hw
+    return k15, np.abs(k15 - g7)
+
+
+def _adaptive_gk(
+    f, a: float, b: float, tol: float, alpha: float, beta: float, max_panels: int = 400000
+):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
-    ``freq`` is an upper bound on the local oscillation rate in cycles per
-    unit length; initial panels are at most a quarter period wide.
+    f oscillates at most like e(beta z^3 + alpha z).  The initial panels
+    (`_initial_panels`) cut [a, b] into blocks at most 1/8 wide and each
+    block into equal panels at most a quarter of the phase's period inside
+    that block; a layout of more than `max_panels` panels is refused.  Each
+    round splits every panel whose error estimate exceeds half its
+    width-share of `tol` and evaluates only the halves; panels that were
+    not split keep their values.
     """
-    width = min((b - a) / 8.0, 0.25 / (freq + 1e-12), 0.5)
-    n0 = min(int(math.ceil((b - a) / width)), max_panels)
-    edges = np.linspace(a, b, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    total_panels = n0
+    lo, hi = _initial_panels(a, b, alpha, beta, max_panels)
+    total_panels = lo.size
+    k15 = err = np.empty(0)
     for _ in range(48):
-        c = 0.5 * (lo + hi)
-        hw = 0.5 * (hi - lo)
-        nodes = c[:, None] + hw[:, None] * _XGK[None, :]
-        vals = f(nodes)
-        k15 = (vals * _WGK).sum(axis=1) * hw
-        g7 = (vals[:, 1::2] * _WG).sum(axis=1) * hw
-        err = np.abs(k15 - g7)
+        k_new, e_new = _gk15(f, lo[k15.size :], hi[k15.size :])
+        k15 = np.concatenate([k15, k_new])
+        err = np.concatenate([err, e_new])
         total = k15.sum()
         total_err = float(err.sum())
         if total_err <= tol:
@@ -95,6 +138,7 @@ def _adaptive_gk(f, a: float, b: float, tol: float, freq: float, max_panels: int
         mid = 0.5 * (lo[split] + hi[split])
         lo = np.concatenate([lo[~split], lo[split], mid])
         hi = np.concatenate([hi[~split], mid, hi[split]])
+        k15, err = k15[~split], err[~split]
     raise QuadratureError(f"no convergence to tol {tol:g} after 48 rounds")
 
 
@@ -122,10 +166,9 @@ def I_eval(problem: OscillatoryProblem) -> complex:
     Z = _cutoff(problem)
 
     def f(z):
-        return w.fourier(z) * np.exp(-2j * np.pi * (beta * z**3 + alpha * z))
+        return w.fourier(z) * np.exp(-2j * np.pi * (beta * (z * z * z) + alpha * z))
 
-    freq = 3.0 * beta * Z * Z + abs(alpha)
-    val, _ = _adaptive_gk(f, -Z, Z, problem.tolerance, freq)
+    val, _ = _adaptive_gk(f, -Z, Z, problem.tolerance, alpha, beta)
     return val
 
 
@@ -143,13 +186,13 @@ def I1_eval(problem: OscillatoryProblem, s: float) -> complex:
     Z = _cutoff(problem, amp)
 
     def f(z):
-        poly = -(4.0 * beta / s) * z**3 - (2.0 * alpha / s) * z
+        z3 = z * z * z
+        poly = -(4.0 * beta / s) * z3 - (2.0 * alpha / s) * z
         return 2j * np.pi * w.fourier(z) * poly * np.exp(
-            -2j * np.pi * (beta * z**3 + alpha * z)
+            -2j * np.pi * (beta * z3 + alpha * z)
         )
 
-    freq = 3.0 * beta * Z * Z + abs(alpha)
-    val, _ = _adaptive_gk(f, -Z, Z, problem.tolerance, freq)
+    val, _ = _adaptive_gk(f, -Z, Z, problem.tolerance, alpha, beta)
     return val
 
 

@@ -183,16 +183,25 @@ def _tonelli_steps(r: np.ndarray, tt: np.ndarray, pr: _Primes) -> np.ndarray:
     r = r.copy()
     tt = tt.copy()
     active = np.arange(r.size)
-    while active.size:
+    smax = int(m.max(initial=0))
+    # tt lies in the subgroup of order 2^m: at most m - 1 squarings reach 1,
+    # and each round lowers m
+    for _ in range(smax):
+        if not active.size:
+            return r
         pa = p[active]
         t2 = tt[active].copy()
         i = np.zeros(active.size, dtype=np.int64)
         unresolved = np.flatnonzero(t2 != 1)
-        while unresolved.size:
+        for _ in range(smax - 1):
+            if not unresolved.size:
+                break
             t2[unresolved] = t2[unresolved] ** 2 % pa[unresolved]
             i[unresolved] += 1
             unresolved = unresolved[t2[unresolved] != 1]
         e = m[active] - i - 1
+        if unresolved.size or e.min() < 0:
+            raise RuntimeError("Tonelli-Shanks: tt is not of order 2^i, i < m")
         b = c[active]
         for k in range(int(e.max(initial=0))):
             sel = np.flatnonzero(e > k)
@@ -203,6 +212,8 @@ def _tonelli_steps(r: np.ndarray, tt: np.ndarray, pr: _Primes) -> np.ndarray:
         tt[active] = tt[active] * cnew % pa
         m[active] = i
         active = active[tt[active] != 1]
+    if active.size:
+        raise RuntimeError(f"Tonelli-Shanks: no root after {smax} rounds")
     return r
 
 
@@ -314,11 +325,8 @@ class _StripeSieve:
         Bs = np.arange(-self.Bmax, self.Bmax + 1, dtype=np.int64)
         X, mode = self.X, self.mode
         for i, A in enumerate(As):
+            # Delta = 0 needs (A, B) = (-3t^2, +-2t^3), so 3 | A: `mark` filled the row
             surv = Bs[~marked[i]]
-            if surv.size:
-                # Delta = 0 only at (A, B) = (-3t^2, +-2t^3); explicit exclusion
-                dz = 4 * int(A) ** 3 + 27 * surv * surv != 0
-                surv = surv[dz]
             cnt = int(surv.size)
             bsum = int(surv.sum()) if cnt else 0
             b2 = int((surv * surv % (2**61 - 1)).sum() % (2**61 - 1)) if cnt else 0

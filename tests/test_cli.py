@@ -56,6 +56,13 @@ def test_constant_json():
     assert p1["value_lo"] <= payload["value_hi"] and payload["value_lo"] <= p1["value_hi"]
 
 
+def test_constant_bad_prime_bound():
+    for P in (4, -1, cli.MAX_PRIME_BOUND + 1):
+        r = run_cli(["constant", "--theorem", "1", "--prime-bound", str(P)])
+        assert r.returncode == 2, P
+        assert r.stdout == ""
+
+
 def test_count_csv(tmp_path):
     out = tmp_path / "counts.csv"
     r = run_cli(["count", "--X", "1,2", "--mode", "exact", "--out", str(out)])

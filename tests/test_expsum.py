@@ -199,3 +199,10 @@ def test_poisson_checks():
     assert r.rel_delta < 1e-8
     r = es.poisson_check(es.CongruenceFrame(2, 3, 5, 7), 2.0)
     assert r.rel_delta < 1e-8
+
+
+def test_poisson_second_check_smallest_frame():
+    # (k2, k3, h, d, l1, X) = (1, 1, 1, 1, 1, 1): 67 I_eval calls, where
+    # frames with d = 5 or l1 = 5 take ~20 s each
+    r = es.poisson_second_check(1, 1, 1, 1, 1, 1.0)
+    assert r.rel_delta < 1e-8

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from deltasieve import oscint as oi
 
@@ -11,8 +12,6 @@ def test_problem_validation():
         oi.OscillatoryProblem(0.0, 0.0)
     with pytest.raises(ValueError):
         oi.OscillatoryProblem(0.0, 1.0, tolerance=1e-5)
-
-
 
 
 def test_I_at_zero_alpha_bounded():
@@ -106,4 +105,89 @@ def test_omega_scan_regimes():
 def test_quadrature_error_budget():
     # an unreachable tolerance must exhaust the panel budget, not spin
     with pytest.raises(oi.QuadratureError):
-        oi._adaptive_gk(lambda z: np.exp(40j * z * z), 0.0, 1.0, 1e-30, 8.0, max_panels=16)
+        oi._adaptive_gk(lambda z: np.exp(40j * z * z), 0.0, 1.0, 1e-30, 1.0, 0.0, max_panels=16)
+    # a phase too fast for the budget is refused before its panels are built
+    with pytest.raises(oi.QuadratureError):
+        oi.I_eval(oi.OscillatoryProblem(1e12, 1.0))
+
+
+def _oracle(alpha, beta, s=None, R=3.3):
+    """I (s None) or I1 at s by 30-digit mp.quad on [0, R], pieces of at
+    most 8 cycles.  The weight is even and the phase odd, so
+    I = 2 int_0^R g cos(2 pi phi) and I1 = 4 pi int_0^R g poly sin(2 pi phi);
+    past R the weight is below 2e-15."""
+    with mp.workdps(30):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+
+        def phase2(z):
+            return 2 * (b * z * z * z + a * z)
+
+        if s is None:
+            def f(z):
+                return 2 * mp.exp(-mp.pi * z * z) * mp.cospi(phase2(z))
+        else:
+            c3, c1 = -4 * b / s, -2 * a / s
+
+            def f(z):
+                poly = c3 * z * z * z + c1 * z
+                return 4 * mp.pi * mp.exp(-mp.pi * z * z) * poly * mp.sinpi(phase2(z))
+
+        pieces = math.ceil(R * (3 * beta * R * R + abs(alpha)) / 8)
+        val, err = mp.quad(f, mp.linspace(0, R, pieces + 1), method="gauss-legendre", error=True)
+        assert err < 1e-20
+        return float(val)
+
+
+def _omega_23():
+    """The asserted |u| > K row of the (k2, k3) = (2, 3) omega frame."""
+    ctx = oi.ParamContext(u=-192, s=8.0, X=2.0, k2=2, k3=3)
+    alpha, beta, _ = oi.param_map(ctx)
+    return alpha, beta, 1e-8, ctx.s
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, tol, s",
+    [
+        (250.0, 9.0, 1e-10, None),  # the second Poisson u-sum, both ends
+        (-250.0, 9.0, 1e-10, None),
+        (1.5, 1e-9, 1e-8, 1.0),  # the Gaussian limit
+        (-3.3, 1.0, 1e-10, 1.0),  # a station-grid point, z0^2 = 1.1
+        _omega_23(),
+    ],
+)
+def test_quadrature_matches_mpmath(alpha, beta, tol, s):
+    p = oi.OscillatoryProblem(alpha, beta, tol)
+    assert abs(oi.I_eval(p) - _oracle(alpha, beta)) <= tol
+    if s is not None:
+        assert abs(oi.I1_eval(p, s) - _oracle(alpha, beta, s)) <= tol
+
+
+def test_adaptive_refinement_converges():
+    # a peak of width 1e-3 that the initial panels cannot resolve: several
+    # rounds of splitting, each keeping the values of the panels it left
+    eps = 1e-3
+    val, err = oi._adaptive_gk(lambda z: 1.0 / (1.0 + (z / eps) ** 2), -1.0, 1.0, 1e-12, 0.0, 0.0)
+    assert err <= 1e-12
+    assert abs(val - 2 * eps * math.atan(1 / eps)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, a, b",
+    [
+        (250.0, 9.0, -3.5, 3.5),
+        (-250.0, 9.0, -3.55, 3.55),  # an odd number of blocks: 0 inside one
+        (0.0, 9.0, -3.5, 3.5),
+        (1.5, 1e-9, -3.5, 3.5),
+        (-8.0, 1e3, -1.3, 2.9),  # the rate peaks at 0 inside a block
+    ],
+)
+def test_initial_panels_resolve_local_period(alpha, beta, a, b):
+    lo, hi = oi._initial_panels(a, b, alpha, beta, 400000)
+    assert lo[0] == a and hi[-1] == b and np.array_equal(hi[:-1], lo[1:])
+    width = hi - lo
+    assert (width > 0).all() and (width <= 0.5).all()
+    # |3 beta z^2 + alpha| peaks at an end of the panel or at its point nearest 0
+    rate = np.max(
+        [np.abs(3 * beta * z * z + alpha) for z in (lo, hi, np.clip(0.0, lo, hi))], axis=0
+    )
+    assert (width * rate <= 0.25 * (1 + 1e-12)).all()

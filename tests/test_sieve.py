@@ -97,6 +97,16 @@ def test_three_divides_A_stripes_die():
             assert row[1] == 0  # 27 | Delta whenever 3 | A
 
 
+def test_mark_fills_three_divides_A_rows():
+    # the per-row reduction relies on this to drop the Delta = 0 pairs
+    cfg = sv.CountConfig(X=3)
+    Amax, Bmax = sv._box_bounds(cfg)
+    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
+    As = np.arange(-Amax, Amax + 1, dtype=np.int64)
+    marked = sv._StripeSieve(As.size, Bmax, pmax, cfg.X, cfg.mode).mark(As)
+    assert marked[As % 3 == 0].all()
+
+
 def test_delta_zero_parametrization_excluded():
     # Delta = 0 exactly at (A, B) = (-3t^2, +-2t^3); all lie in dead stripes
     res = sv.exact_count(sv.CountConfig(X=3))
@@ -165,6 +175,12 @@ def stripe_radicand(A: int, p: int, k: int) -> int:
     """-4 A^3 / 27 mod p^k: the B^2 of 27 B^2 + 4 A^3 = 0."""
     pk = p**k
     return -4 * A**3 * pow(27, -1, pk) % pk
+
+
+def test_tonelli_steps_bounded():
+    # 2 has order 12 mod 13 = 3 * 2^2, so it is outside the 2-power subgroup
+    with pytest.raises(RuntimeError):
+        sv._tonelli_steps(np.array([1]), np.array([2]), sv._Primes.of([13]))
 
 
 @kernel_settings

@@ -117,6 +117,8 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite below 41^2 has a prime factor <= 37
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -4,13 +4,20 @@ arithmetic progressions with a coprimality side condition.
 Characters are represented by exponent vectors over the cyclic
 decomposition of the unit group (smallest primitive root for odd prime
 powers, the {-1} x <5> structure for powers of 2).
+
+chi(n) = e(sum_i k_i t_i / n_i) for a unit n with discrete logs t_i on
+components of orders n_i.  With L = lcm(n_i) that angle is k / L for the
+integer k = sum_i k_i t_i (L / n_i) mod L, so a whole table is one integer
+matrix-vector product.  Since k, L < 2^53 are exact doubles, k / L is the
+correctly rounded double of the exact angle, the same double that
+float(Fraction) gives, and every table is bit-identical to summing exact
+Fraction angles per value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -78,9 +85,37 @@ def unit_group(q: int) -> tuple[_Component, ...]:
     return tuple(comps)
 
 
+@lru_cache(maxsize=256)
+def _angle_numerators(q: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(units, M, L): the units mod q, L = lcm of the component orders and
+    the int64 matrix M[u, i] = dlog_i(units[u]) * L / order_i, so a
+    character with exponents e takes the value e(((M @ e) mod L) / L) at
+    the units and 0 elsewhere."""
+    comps = unit_group(q)
+    orders = [n for comp in comps for n in comp.orders]
+    L = math.lcm(*orders)
+    units = [n for n in range(q) if math.gcd(n, q) == 1]
+    logs = [[t for comp in comps for t in comp.dlog[n % comp.prime_power]] for n in units]
+    M = np.array(logs, dtype=np.int64).reshape(len(units), len(orders))
+    return np.array(units), M * (L // np.array(orders, dtype=np.int64)), L
+
+
+def _numerators(q: int, exponents: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(units, k, L) with chi(units[u]) = e(k[u] / L) and 0 <= k < L."""
+    units, M, L = _angle_numerators(q)
+    return units, (M @ np.array(exponents, dtype=np.int64)) % L, L
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """chi mod q given by exponents against the unit-group generators."""
+    """chi mod q given by exponents against the unit-group generators.
+
+    At a unit chi is e(k / L), where L is the lcm of the component orders
+    and the integer numerator k is the sum of exponent * dlog * L / order
+    over the components, mod L (see `_numerators`).  k / L rounds once,
+    from exact integers, so each value is the double of the exact angle.
+    Non-units give 0.  `table()` holds all q values; calling chi reads it.
+    """
 
     modulus: int
     exponents: tuple[int, ...]
@@ -98,20 +133,7 @@ class DirichletCharacter:
         return all(k == 0 for k in self.exponents)
 
     def __call__(self, n: int) -> complex:
-        q = self.modulus
-        n %= q
-        if q == 1:
-            return 1 + 0j
-        if math.gcd(n, q) != 1:
-            return 0j
-        ang = Fraction(0)
-        i = 0
-        for comp in unit_group(q):
-            ts = comp.dlog[n % comp.prime_power]
-            for t, order in zip(ts, comp.orders):
-                ang += Fraction(self.exponents[i] * t, order)
-                i += 1
-        return complex(np.exp(2j * np.pi * float(ang % 1)))
+        return complex(self.table()[n % self.modulus])
 
     def table(self) -> np.ndarray:
         return _char_table(self.modulus, self.exponents)
@@ -119,8 +141,10 @@ class DirichletCharacter:
 
 @lru_cache(maxsize=4096)
 def _char_table(q: int, exponents: tuple[int, ...]) -> np.ndarray:
-    chi = DirichletCharacter(q, exponents)
-    return np.array([chi(n) for n in range(q)])
+    units, k, L = _numerators(q, exponents)
+    out = np.zeros(q, dtype=complex)
+    out[units] = np.exp(2j * np.pi * (k / L))
+    return out
 
 
 def character_table(q: int) -> list[DirichletCharacter]:
@@ -148,14 +172,11 @@ def is_primitive(chi: DirichletCharacter) -> bool:
         return True
     if q % 4 == 2:
         return False
+    # chi(x) = 1 exactly when its angle numerator is 0 mod L, so the units
+    # x = 1 (mod q/p) are tested on integers, without building the table
+    units, k, _ = _numerators(q, chi.exponents)
     for p, _ in factorize(q).factors:
-        f = q // p
-        trivial = True
-        for x in range(1 + f, q, f):
-            if math.gcd(x, q) == 1 and abs(chi(x) - 1) > 1e-12:
-                trivial = False
-                break
-        if trivial:
+        if not k[(units - 1) % (q // p) == 0].any():
             return False
     return True
 
@@ -307,7 +328,7 @@ def decomposition_sweep(
     js = js or tuple(j for j in range(1, q1 + 1) if math.gcd(j, q1) == 1)
     As = As or tuple(a for a in range(1, r + 1) if math.gcd(a, r) == 1)
     chis = character_table(q1)
-    chi_tabs = [c.table() for c in chis]
+    chi_tabs = np.array([c.table() for c in chis])  # [i, n] = chi_i(n)
     phi_q1 = euler_phi(q1)
 
     # direct sums, bucketed by (n mod q1, n mod r)
@@ -320,7 +341,7 @@ def decomposition_sweep(
             continue
         r1 = r // f
         chi1s = character_table(r1)
-        chi1_tabs = [c.table() for c in chi1s]
+        chi1_tabs = np.array([c.table() for c in chi1s])
         taus = [tau(c) for c in chi1s]
         Wf = _bucket_matrix(0, s // f, q1, r1, coprime_to * f)
         # S[i, i1] = sum_n1 mu(n1) chi_i(n1) conj(chi1_i1)(n1) [(n1, C f) = 1]
@@ -329,27 +350,26 @@ def decomposition_sweep(
             tmp = ct @ Wf  # length r1
             for i1, c1t in enumerate(chi1_tabs):
                 S[i, i1] = tmp @ np.conj(c1t)
-        per_f.append((f, r1, chi1s, taus, S))
+        per_f.append((f, r1, chi1_tabs, taus, S))
 
     out = {}
     for a in As:
         direct_by_class = Wd @ np.exp((2j * np.pi / r) * (a * np.arange(r) % r))
         # inner combination independent of j
         inner = np.zeros(len(chis), dtype=complex)
-        for f, r1, chi1s, taus, S in per_f:
+        for f, r1, chi1_tabs, taus, S in per_f:
             muf = float(_mu_upto(max(r, 2))[f])
             # n = f n1 cannot be coprime to C unless (f, C) = 1
             if muf == 0 or math.gcd(f, coprime_to) != 1:
                 continue
             phi_r1 = euler_phi(r1)
             coef = np.zeros(len(chis), dtype=complex)
-            for i1, c1 in enumerate(chi1s):
-                coef += np.conj(c1(a)) * taus[i1] * S[:, i1]
-            chif = np.array([c(f) for c in chis])
-            inner += muf * chif * coef / phi_r1
+            for i1, c1a in enumerate(chi1_tabs[:, a % r1]):
+                coef += np.conj(c1a) * taus[i1] * S[:, i1]
+            inner += muf * chi_tabs[:, f % q1] * coef / phi_r1
         for j in js:
             direct = complex(direct_by_class[j % q1])
-            chij = np.array([np.conj(c(j)) for c in chis])
+            chij = np.conj(chi_tabs[:, j % q1])
             recon = complex(np.sum(chij * inner) / phi_q1)
             out[(j, a)] = DecompositionResult(direct, recon, abs(direct - recon))
     return out

@@ -28,6 +28,12 @@ def test_factorize_roundtrip_random():
         assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
 
 
+def test_is_prime_matches_sieve():
+    # covers the trial-division cutoff at 41^2 = 1681 on both sides
+    primes = set(arith.primes_up_to(5000))
+    assert [n for n in range(-5, 5001) if arith.is_prime(n)] == sorted(primes)
+
+
 def test_mobius_conventions():
     assert arith.mobius(10) == 1
     assert arith.mobius(-12) == 0

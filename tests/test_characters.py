@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltasieve import arith
 from deltasieve import characters as ch
@@ -67,6 +70,77 @@ def test_is_primitive():
     for q in (5, 7, 11, 13):
         nprim = sum(ch.is_primitive(c) for c in ch.character_table(q))
         assert nprim == arith.euler_phi(q) - 1
+    # sum_{d | q} mu(q / d) phi(d) primitive characters mod q
+    for q in range(1, 101):
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        want = sum(arith.mobius(q // d) * arith.euler_phi(d) for d in divisors)
+        assert sum(ch.is_primitive(c) for c in ch.character_table(q)) == want, q
+
+
+def oracle_chi(chi: ch.DirichletCharacter, n: int) -> complex:
+    """chi(n) from the exact angle sum_i k_i t_i / n_i as a Fraction."""
+    q = chi.modulus
+    n %= q
+    if q == 1:
+        return 1 + 0j
+    if math.gcd(n, q) != 1:
+        return 0j
+    ang = Fraction(0)
+    i = 0
+    for comp in ch.unit_group(q):
+        for t, order in zip(comp.dlog[n % comp.prime_power], comp.orders):
+            ang += Fraction(chi.exponents[i] * t, order)
+            i += 1
+    return complex(np.exp(2j * np.pi * float(ang % 1)))
+
+
+def test_table_bytes_match_fraction_oracle():
+    for q in range(1, 61):
+        for chi in ch.character_table(q):
+            want = np.array([oracle_chi(chi, n) for n in range(q)])
+            assert chi.table().tobytes() == want.tobytes(), (q, chi.exponents)
+
+
+@st.composite
+def character_and_points(draw):
+    q = draw(st.integers(1, ch.MAX_CHARACTER_MODULUS))
+    orders = [n for comp in ch.unit_group(q) for n in comp.orders]
+    exps = tuple(draw(st.integers(0, n - 1)) for n in orders)
+    ns = draw(st.lists(st.integers(-3 * q, 3 * q), min_size=1, max_size=20))
+    return ch.DirichletCharacter(q, exps), ns
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(character_and_points())
+def test_values_match_fraction_oracle(case):
+    chi, ns = case
+    for n in ns:
+        want = oracle_chi(chi, n)
+        assert np.array([chi(n)]).tobytes() == np.array([want]).tobytes(), n
+
+
+def test_call_semantics():
+    assert ch.principal_character(1)(0) == 1
+    assert ch.principal_character(1)(-7) == 1
+    for q in (9, 12, 40):
+        for chi in ch.character_table(q):
+            t = chi.table()
+            for n in range(-2 * q, 3 * q):
+                v = chi(n)
+                assert type(v) is complex
+                assert v == t[n % q]
+                if math.gcd(n, q) != 1:
+                    assert v == 0j
+                else:
+                    assert abs(abs(v) - 1) < 1e-12
+
+
+def test_tau_largest_prime_modulus():
+    q = 9973  # the largest prime below MAX_CHARACTER_MODULUS
+    assert arith.is_prime(q) and q <= ch.MAX_CHARACTER_MODULUS
+    chi = ch.DirichletCharacter(q, (1,))
+    assert not chi.is_principal and ch.is_primitive(chi)
+    assert abs(abs(ch.tau(chi)) - math.sqrt(q)) < 1e-9
 
 
 def test_ap_mobius_sum():

@@ -225,3 +225,38 @@ def test_lift_and_stripe_roots_match_arith(pairs):
     R = sv._lift_root(r, xinv, A * A * A, sv._Primes.of(p))
     for jj, root, r0, p0 in zip(j.tolist(), R.tolist(), r.tolist(), p.tolist()):
         assert root % p0 == r0 and root in want[jj]
+
+
+@pytest.mark.parametrize("X", [5, 6])
+def test_mark_sampled_pairs_match_squarefree(X):
+    """Completeness past the oracle's X = 4, in both directions: on seeded
+    rows A, a marked cell has a square factor and a survivor is square-free,
+    decided by factorizing Delta.  Per row, 25 B are uniform and up to 25
+    are roots mod p^2 for primes sqrt(2 Bmax + 1) <= p <= 20 sqrt(2 Bmax + 1):
+    the kernel marks one cell per such root, and uniform B almost never
+    meet one."""
+    cfg = sv.CountConfig(X=X)
+    Amax, Bmax = sv._box_bounds(cfg)
+    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
+    L = 2 * Bmax + 1
+    big = [p for p in arith.primes_up_to(20 * math.isqrt(L)) if p * p >= L]
+    rng = np.random.default_rng(X)
+    As = rng.choice([A for A in range(-Amax, Amax + 1) if A % 3], 4, replace=False)
+    marked = sv._StripeSieve(As.size, Bmax, pmax, cfg.X, cfg.mode).mark(As)
+    seen = set()
+    for row, A in enumerate(As.tolist()):
+        hits = [
+            (root + Bmax) % (p * p) - Bmax
+            for p in big
+            if A % p
+            for root in roots_mod(stripe_radicand(A, p, 2), p, 2)
+        ]
+        hits = [B for B in hits if B <= Bmax]
+        assert hits
+        Bs = rng.integers(-Bmax, Bmax + 1, 25).tolist()
+        Bs += rng.permutation(hits)[:25].tolist()
+        for B in Bs:
+            squarefree = arith.is_squarefree(sv.delta_value(A, B))
+            assert marked[row, B + Bmax] != squarefree, (A, B)
+            seen.add(squarefree)
+    assert seen == {True, False}

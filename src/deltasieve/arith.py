@@ -368,37 +368,6 @@ def sqrt_mod(a: int, m: int) -> list[Residue]:
     return [Residue(x, m) for x, _ in sorted(roots)]
 
 
-def hensel_lift_unique(coeffs: list[int], root: int, l: int) -> Residue:
-    """Unique lift of a simple root of f mod l to a root mod l**2.
-
-    ``coeffs`` are (c0, c1, ..., cn), lowest degree first.  Requires
-    f'(root) invertible mod l; raises NotInvertibleError otherwise.
-    """
-
-    def f(x, m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % m
-        return acc
-
-    def fprime(x, m):
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = (acc * x + i * coeffs[i]) % m
-        return acc
-
-    l2 = l * l
-    root %= l
-    if f(root, l) != 0:
-        raise ValueError(f"{root} is not a root of f mod {l}")
-    d = fprime(root, l)
-    if math.gcd(d, l) != 1:
-        raise NotInvertibleError(f"f'({root}) = {d} not invertible mod {l}: lift not unique")
-    x = (root - f(root, l2) * pow(d, -1, l2)) % l2
-    assert f(x, l2) == 0
-    return Residue(x, l2)
-
-
 def mobius_table(n: int) -> np.ndarray:
     """mu(0..n) as an int8 array (mu(0) = 0)."""
     mu = np.ones(n + 1, dtype=np.int8)

@@ -599,8 +599,9 @@ def poisson_second_check(
          complete v-sum mod A, where I is the cubic-phase integral of the
          weight and (alpha, beta) are the s = l1 parameter maps.
 
-    The u-sum is truncated once eight consecutive terms fall below
-    1e-12 of the running total (deterministic rule), capped at u_cap.
+    The u-sum is truncated once A + 8 consecutive blocks (u and -u) fall
+    to at most 1e-12 of the running total (deterministic rule), capped at
+    u_cap.
     """
     from .oscint import I_eval, OscillatoryProblem
 
@@ -648,10 +649,10 @@ def poisson_second_check(
         block = 0j
         for uu in {u, -u}:
             alpha = l1 * l1 * uu / (X**4 * k3 * k3)
-            ival = I_eval(OscillatoryProblem(alpha, beta, 1e-10))
+            ival = I_eval(OscillatoryProblem(alpha, beta))
             block += ival * vsum(uu)
         total += block
-        small = small + 1 if abs(block) < 1e-12 * (1 + abs(total)) else 0
+        small = small + 1 if abs(block) <= 1e-12 * abs(total) else 0
         # V(u) is periodic mod A and may vanish on most classes: require a
         # whole quiet period before trusting the decay
         if small >= A + 8:

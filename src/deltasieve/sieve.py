@@ -492,20 +492,18 @@ def naive_weighted_sum(X: float) -> float:
 
 
 def _delta_grid(X: float) -> np.ndarray:
+    """The nonzero Delta over the box, flattened."""
     Amax, Bmax = int(math.floor(X**4)), int(math.floor(X**6))
     A = np.arange(-Amax, Amax + 1, dtype=np.int64)[:, None]
     B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)[None, :]
-    return 4 * A**3 + 27 * B**2
+    d = 4 * A**3 + 27 * B**2
+    return d[d != 0]
 
 
 def S_term(X: float, k: int, grid: np.ndarray | None = None) -> int:
     """Box pairs with k^2 | Delta and Delta != 0."""
     d = _delta_grid(X) if grid is None else grid
-    k2 = k * k
-    dmax = int(np.abs(d).max())
-    if k2 > dmax:
-        return 0
-    return int(((d % k2 == 0) & (d != 0)).sum())
+    return int((d % (k * k) == 0).sum())
 
 
 def mobius_sieve_identity(X: float) -> tuple[int, int, bool]:
@@ -513,7 +511,7 @@ def mobius_sieve_identity(X: float) -> tuple[int, int, bool]:
     if X > 3:
         raise ValueError("identity check capped at X <= 3")
     grid = _delta_grid(X)
-    kmax = math.isqrt(int(np.abs(grid).max()))
+    kmax = math.isqrt(int(np.abs(grid).max(initial=0)))
     mu = mobius_table(kmax)
     rhs = 0
     for k in range(1, kmax + 1):
@@ -528,7 +526,7 @@ def tail_S2(X: float, xi: float) -> tuple[int, float]:
     if X > 3:
         raise ValueError("tail computation capped at X <= 3")
     grid = _delta_grid(X)
-    kmax = math.isqrt(int(np.abs(grid).max()))
+    kmax = math.isqrt(int(np.abs(grid).max(initial=0)))
     mu = mobius_table(max(kmax, 1))
     tail = 0
     for k in range(int(math.floor(xi)) + 1, kmax + 1):

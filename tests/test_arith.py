@@ -100,14 +100,6 @@ def test_sqrt_mod_composite():
     assert arith.sqrt_mod(2, 15) == []
 
 
-def test_hensel_lift_unique():
-    assert arith.hensel_lift_unique([-2, 1], 2, 5).value == 2
-    r = arith.hensel_lift_unique([-4, 0, 1], 1, 3)
-    assert r.value == 7 and r.modulus == 9
-    with pytest.raises(arith.NotInvertibleError):
-        arith.hensel_lift_unique([0, 0, 1], 0, 3)  # f = x^2, derivative 0 at 0
-
-
 def test_rad_and_square_part():
     assert arith.rad_and_square_part(72) == (6, 36)
     assert arith.rad_and_square_part(1) == (1, 1)

@@ -202,7 +202,14 @@ def test_poisson_checks():
 
 
 def test_poisson_second_check_smallest_frame():
-    # (k2, k3, h, d, l1, X) = (1, 1, 1, 1, 1, 1): 67 I_eval calls, where
-    # frames with d = 5 or l1 = 5 take ~20 s each
+    # (k2, k3, h, d, l1, X) = (1, 1, 1, 1, 1, 1): 67 I_eval calls
     r = es.poisson_second_check(1, 1, 1, 1, 1, 1.0)
+    assert r.rel_delta < 1e-8
+
+
+@pytest.mark.parametrize("frame", [(1, 1, 1, 5, 1, 1.0), (2, 3, 1, 1, 5, 1.5)])
+def test_poisson_second_check_frames(frame):
+    # d = 5 and l1 = 5: ~2 s each; (1, 1, 1, 5, 1, 1) reads 8e-8 if the
+    # u-sum stops at 1e-12 of 1 + |total| instead of |total| (~1.7e-5)
+    r = es.poisson_second_check(*frame)
     assert r.rel_delta < 1e-8

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from mpmath import mp
 
@@ -17,13 +20,6 @@ def test_problem_validation():
 def test_I_at_zero_alpha_bounded():
     v = oi.I_eval(oi.OscillatoryProblem(0.0, 2.0))
     assert abs(v) <= 1.0
-
-
-def test_I_real_and_self_oracle():
-    a = oi.I_eval(oi.OscillatoryProblem(-1.0, 1.0, tolerance=1e-8))
-    b = oi.I_eval(oi.OscillatoryProblem(-1.0, 1.0, tolerance=1e-10))
-    assert abs(a - b) < 1e-8
-    assert abs(a.imag) < 1e-9
 
 
 def test_G_eval():
@@ -65,8 +61,6 @@ def test_I1_G1_pair():
     assert g1 == oi.G1_eval(p, 1.0)
 
 
-
-
 def test_param_map():
     a, b, K = oi.param_map(oi.ParamContext(u=2, s=1000.0, X=10.0))
     assert a == pytest.approx(200.0)
@@ -102,17 +96,9 @@ def test_omega_scan_regimes():
     assert sum(r.asserted for r in rows) >= 4
 
 
-def test_quadrature_error_budget():
-    # an unreachable tolerance must exhaust the panel budget, not spin
-    with pytest.raises(oi.QuadratureError):
-        oi._adaptive_gk(lambda z: np.exp(40j * z * z), 0.0, 1.0, 1e-30, 1.0, 0.0, max_panels=16)
-    # a phase too fast for the budget is refused before its panels are built
-    with pytest.raises(oi.QuadratureError):
-        oi.I_eval(oi.OscillatoryProblem(1e12, 1.0))
-
-
 def _oracle(alpha, beta, s=None, R=3.3):
-    """I (s None) or I1 at s by 30-digit mp.quad on [0, R], pieces of at
+    """The brute-force oracle of the closed form:
+    I (s None) or I1 at s by 30-digit mp.quad on [0, R], pieces of at
     most 8 cycles.  The weight is even and the phase odd, so
     I = 2 int_0^R g cos(2 pi phi) and I1 = 4 pi int_0^R g poly sin(2 pi phi);
     past R the weight is below 2e-15."""
@@ -152,6 +138,7 @@ def _omega_23():
         (-250.0, 9.0, 1e-10, None),
         (1.5, 1e-9, 1e-8, 1.0),  # the Gaussian limit
         (-3.3, 1.0, 1e-10, 1.0),  # a station-grid point, z0^2 = 1.1
+        (-1.0, 1.0, 1e-10, None),
         _omega_23(),
     ],
 )
@@ -162,32 +149,31 @@ def test_quadrature_matches_mpmath(alpha, beta, tol, s):
         assert abs(oi.I1_eval(p, s) - _oracle(alpha, beta, s)) <= tol
 
 
-def test_adaptive_refinement_converges():
-    # a peak of width 1e-3 that the initial panels cannot resolve: several
-    # rounds of splitting, each keeping the values of the panels it left
-    eps = 1e-3
-    val, err = oi._adaptive_gk(lambda z: 1.0 / (1.0 + (z / eps) ** 2), -1.0, 1.0, 1e-12, 0.0, 0.0)
-    assert err <= 1e-12
-    assert abs(val - 2 * eps * math.atan(1 / eps)) <= 1e-12
+def test_mp_precision_restored():
+    # density reads the global mpmath context; beta = 1e-9 works at ~37 digits
+    saved = mp.dps
+    try:
+        mp.dps = 21
+        p = oi.OscillatoryProblem(1.5, 1e-9)
+        oi.I_eval(p)
+        oi.I1_eval(p, 1.0)
+        assert mp.dps == 21
+    finally:
+        mp.dps = saved
 
 
-@pytest.mark.parametrize(
-    "alpha, beta, a, b",
-    [
-        (250.0, 9.0, -3.5, 3.5),
-        (-250.0, 9.0, -3.55, 3.55),  # an odd number of blocks: 0 inside one
-        (0.0, 9.0, -3.5, 3.5),
-        (1.5, 1e-9, -3.5, 3.5),
-        (-8.0, 1e3, -1.3, 2.9),  # the rate peaks at 0 inside a block
-    ],
-)
-def test_initial_panels_resolve_local_period(alpha, beta, a, b):
-    lo, hi = oi._initial_panels(a, b, alpha, beta, 400000)
-    assert lo[0] == a and hi[-1] == b and np.array_equal(hi[:-1], lo[1:])
-    width = hi - lo
-    assert (width > 0).all() and (width <= 0.5).all()
-    # |3 beta z^2 + alpha| peaks at an end of the panel or at its point nearest 0
-    rate = np.max(
-        [np.abs(3 * beta * z * z + alpha) for z in (lo, hi, np.clip(0.0, lo, hi))], axis=0
+def test_no_scipy_import():
+    # importing scipy.special alone costs about as much as the package import
+    code = (
+        "import sys, deltasieve\n"
+        "deltasieve.oscint.I_eval(deltasieve.oscint.OscillatoryProblem(-1.0, 9.0))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert (width * rate <= 0.25 * (1 + 1e-12)).all()
+    src = str(Path(oi.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,19 @@ _TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_t, t): psi_t is the smallest odd composite that is a strong
+# pseudoprime to each of the first t bases, so those t bases decide every
+# n < psi_t (psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
+_MR_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 
 class NotInvertibleError(ValueError):
@@ -111,10 +125,15 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below 2**64 (inputs are capped there)."""
+    """Deterministic Miller-Rabin, exact below 2**64 (inputs are capped there).
+
+    Uses only the first t bases of _MR_BASES, where psi_t is the first of
+    the psi_t thresholds above n (Pomerance, Selfridge & Wagstaff, Math.
+    Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993): one base below 2047,
+    all twelve from psi_9 = 3825123056546413051 on (psi_12 > 2**64)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:  # a composite below 41^2 has a prime factor <= 37
@@ -123,7 +142,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    t = next((t for lim, t in _MR_PSI if n < lim), len(_MR_BASES))
+    for a in _MR_BASES[:t]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -269,6 +289,15 @@ def legendre_eps(a: int, p: int) -> tuple[int, complex]:
     return sym, eps
 
 
+@lru_cache(maxsize=256)
+def _nonresidue(p: int) -> int:
+    """Smallest quadratic non-residue mod the odd prime p."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
+
+
 def tonelli_shanks(a: int, p: int) -> int:
     """Smaller square root of a unit square a mod odd prime p.
 
@@ -287,10 +316,7 @@ def tonelli_shanks(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(_nonresidue(p), q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
@@ -332,9 +358,10 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
         return []
     # a = p^v * aa with aa a unit; roots are p^(v/2) * (y + j*p^(k-v))
     kk = k - v
-    if pow(aa % p, (p - 1) // 2, p) != 1:
+    try:
+        y = tonelli_shanks(aa % p, p)
+    except ValueError:  # aa is not a square mod p
         return []
-    y = tonelli_shanks(aa % p, p)
     for j in range(1, kk):
         pj = p ** (j + 1)
         fy = (y * y - aa) % pj

@@ -139,7 +139,7 @@ class DirichletCharacter:
         return _char_table(self.modulus, self.exponents)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def _char_table(q: int, exponents: tuple[int, ...]) -> np.ndarray:
     units, k, L = _numerators(q, exponents)
     out = np.zeros(q, dtype=complex)

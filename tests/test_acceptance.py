@@ -27,7 +27,7 @@ SIEVE_CHECKS = {
     "worker_determinism_1_4_16",
     "smoothed_X2_vs_direct_oracle",
     "stripe_root_soundness_1e5",
-    "smoothed_X4_quarter_ratio_reported",
+    "smoothed_X4_residual_below_exact",
     "main_term_trend_X6_vs_X3",
     "residual_over_X7_bounded",
 }

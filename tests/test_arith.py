@@ -29,9 +29,57 @@ def test_factorize_roundtrip_random():
 
 
 def test_is_prime_matches_sieve():
-    # covers the trial-division cutoff at 41^2 = 1681 on both sides
-    primes = set(arith.primes_up_to(5000))
-    assert [n for n in range(-5, 5001) if arith.is_prime(n)] == sorted(primes)
+    # covers the trial-division cutoff at 41^2 = 1681 and the one-base
+    # range below 2047 on both sides
+    primes = arith.primes_up_to(10**5)
+    assert [n for n in range(-5, 10**5) if arith.is_prime(n)] == primes
+
+
+# (psi_t, t): the smallest odd composite that is a strong pseudoprime to
+# each of the first t prime bases (Pomerance-Selfridge-Wagstaff 1980,
+# Jaeschke 1993); psi_8 = psi_7 and psi_10 = psi_11 = psi_9
+PSI = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, t", PSI)
+def test_is_prime_rejects_psi_t(n, t):
+    # psi_t fools exactly the bases is_prime would use below psi_t, so a
+    # threshold tested with <= instead of < lets it through
+    f = arith.factorize(n)
+    assert sum(e for _, e in f.factors) > 1
+    assert all(_strong_probable_prime(n, a) for a in arith.primes_up_to(37)[:t])
+    assert not arith.is_prime(n)
+
+
+@pytest.mark.parametrize("center", [1373653, 25326001])
+def test_is_prime_matches_sieve_near_psi(center):
+    lo, hi = center - 10**4, center + 10**4
+    primes = [p for p in arith.primes_up_to(hi) if p >= lo]
+    assert [n for n in range(lo, hi + 1) if arith.is_prime(n)] == primes
 
 
 def test_mobius_conventions():

@@ -44,6 +44,19 @@ def test_verify_payload_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_python_dash_m_package():
+    # `python -m deltasieve` runs the CLI from a source tree, no install needed
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "deltasieve", "verify", "--suite", "poisson",
+         "--seed", "0", "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["suite"] == "poisson"
+
+
 def test_constant_json():
     r = run_cli(["constant", "--theorem", "2", "--prime-bound", "1000"])
     assert r.returncode == 0

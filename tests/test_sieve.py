@@ -125,6 +125,48 @@ def test_S_term():
     assert sv.S_term(2, 1) == (2 * 16 + 1) * (2 * 64 + 1) - 5
 
 
+def _delta_values(X):
+    """The nonzero Delta over the box, flattened: the grid route to S(X; k^2)."""
+    Amax, Bmax = int(X**4), int(X**6)
+    A = np.arange(-Amax, Amax + 1, dtype=np.int64)[:, None]
+    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)[None, :]
+    d = (4 * A**3 + 27 * B**2).ravel()
+    return d[d != 0]
+
+
+def _S_grid(d, k):
+    return int((d % (k * k) == 0).sum())
+
+
+@pytest.mark.parametrize("X", [1, 2, 3])
+def test_S_term_histogram_matches_grid(X):
+    d = _delta_values(X)
+    h = sv._delta_histogram(X)
+    assert len(h) - 1 == int(np.abs(d).max())
+    kmax = math.isqrt(len(h) - 1)
+    if X < 3:
+        ks = range(1, kmax + 1)
+    else:
+        assert h.dtype == np.uint8  # not bincount's int64: 16.5 MB, not 132 MB
+        ks = np.random.default_rng(7).integers(1, kmax + 1, 200).tolist()
+    for k in ks:
+        assert sv.S_term(X, k, h) == _S_grid(d, k), k
+    assert sv.S_term(X, kmax + 1, h) == 0
+
+
+@pytest.mark.parametrize("xi", [2, 10, 100])
+def test_tail_S2_matches_grid(xi):
+    d = _delta_values(2)
+    kmax = math.isqrt(int(np.abs(d).max()))
+    mu = arith.mobius_table(kmax)
+    want = sum(int(mu[k]) * _S_grid(d, k) for k in range(xi + 1, kmax + 1))
+    assert sv.tail_S2(2, xi)[0] == want
+
+
+def test_mobius_sieve_identity_X3():
+    assert sv.mobius_sieve_identity(3) == (66316, 66316, True)
+
+
 def test_delta_zero_pairs_in_box():
     # X = 2: (0,0), (-3, +-2), (-12, +-16) are the only Delta = 0 pairs
     cnt = 0

@@ -290,12 +290,56 @@ def legendre_eps(a: int, p: int) -> tuple[int, complex]:
 
 
 @lru_cache(maxsize=256)
-def _nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue mod the odd prime p."""
+def _tonelli_constants(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q mod p) for the odd prime p, where p - 1 = q 2^s with q odd
+    and z is the smallest quadratic non-residue mod p.
+
+    Raises ValueError unless p is an odd prime, so a caller that needs the
+    constants has its prime checked once per prime, not once per call."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    return z
+    return q, s, pow(z, q, p)
+
+
+def _sqrt_unit(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, for a in [1, p), or None
+    when a is a non-residue.
+
+    Tonelli-Shanks as in Cohen, Alg. 1.5.1, from r = a^((q+1)/2) and
+    t = a^q.  The same t decides the Legendre symbol: t has order 2^m
+    with m < s exactly when a is a square, so a first squaring chain that
+    needs all s steps means a non-residue.  For p = 3 (mod 4) (s = 1) it
+    is one pow and the check r^2 = a.
+    """
+    q, s, c = _tonelli_constants(p)
+    if s == 1:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    w = pow(a, (q - 1) // 2, p)
+    r = w * a % p
+    t = r * w % p
+    m = s
+    while t != 1:
+        # t^(2^m) = 1, so the chain stops by i = m; each round lowers m
+        t2, i = t, 0
+        while t2 != 1 and i < m:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == m:
+            return None
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r
 
 
 def tonelli_shanks(a: int, p: int) -> int:
@@ -307,29 +351,9 @@ def tonelli_shanks(a: int, p: int) -> int:
     a %= p
     if p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    r = _sqrt_unit(a, p) if a else None
+    if r is None:
         raise ValueError(f"{a} is not a QR mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = pow(_nonresidue(p), q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
     return min(r, p - r)
 
 
@@ -339,8 +363,7 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
     p must be an odd prime.  Non-unit a is handled by splitting off the
     p-valuation; unit a by Tonelli-Shanks mod p plus Hensel lifting.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    _tonelli_constants(p)  # raises unless p is an odd prime
     if k < 1:
         raise ValueError("k must be >= 1")
     pk = p**k
@@ -358,9 +381,8 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
         return []
     # a = p^v * aa with aa a unit; roots are p^(v/2) * (y + j*p^(k-v))
     kk = k - v
-    try:
-        y = tonelli_shanks(aa % p, p)
-    except ValueError:  # aa is not a square mod p
+    y = _sqrt_unit(aa % p, p)
+    if y is None:  # aa is not a square mod p
         return []
     for j in range(1, kk):
         pj = p ** (j + 1)
@@ -368,11 +390,9 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
         y = (y - fy * pow(2 * y, -1, pj)) % pj
     half = p ** (v // 2)
     base = p ** kk
-    roots = set()
-    for y0 in (y, base - y):
-        for j in range(half):
-            roots.add(half * (y0 + j * base) % pk)
-    return [Residue(x, pk) for x in sorted(roots)]
+    # distinct and below p^k: y != base - y for odd p, and y0 + j base < half base
+    roots = sorted(half * (y0 + j * base) for y0 in (y, base - y) for j in range(half))
+    return [Residue(x, pk) for x in roots]
 
 
 def sqrt_mod(a: int, m: int) -> list[Residue]:

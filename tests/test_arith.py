@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltasieve import arith
 
@@ -140,6 +142,66 @@ def test_sqrt_mod_prime_power_exhaustive(p, k):
     for a in range(m):
         got = {r.value for r in arith.sqrt_mod_prime_power(a, p, k)}
         assert got == expected.get(a, set())
+
+
+# primes with a long Tonelli-Shanks chain: p - 1 = q 2^s with s = 9, 12, 13, 16
+LARGE_S_PRIMES = [7681, 12289, 40961, 65537]
+
+
+@st.composite
+def prime_power_radicand(draw):
+    """(a, p, k): p an odd prime < 10^5 or one of LARGE_S_PRIMES, k <= 3 with
+    p^k < 2^40, and a = p^v u mod p^k for a drawn valuation v <= k."""
+    p = draw(
+        st.one_of(
+            st.sampled_from(LARGE_S_PRIMES), st.sampled_from(arith.primes_up_to(10**5)[1:])
+        )
+    )
+    k = draw(st.integers(1, 3).filter(lambda k: p**k < 2**40))
+    v = draw(st.integers(0, k))
+    u = draw(st.integers(0, p**k - 1))
+    return p**v * u % p**k, p, k
+
+
+def _root_count(a: int, p: int, k: int) -> int:
+    """Number of square roots of a mod p^k, from the valuation and Euler's
+    criterion: p^floor(k/2) for a = 0; else 2 p^(v/2) when v = v_p(a) is
+    even and a / p^v is a square mod p, and 0 otherwise."""
+    if a == 0:
+        return p ** (k // 2)
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2 or pow(a, (p - 1) // 2, p) != 1:
+        return 0
+    return 2 * p ** (v // 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(prime_power_radicand())
+def test_sqrt_mod_prime_power_large_primes(case):
+    a, p, k = case
+    pk = p**k
+    roots = [r.value for r in arith.sqrt_mod_prime_power(a, p, k)]
+    assert all(r * r % pk == a for r in roots)
+    assert roots == sorted(set(roots)) and all(0 <= r < pk for r in roots)
+    assert len(roots) == _root_count(a, p, k)
+    u = a % p
+    if u and pow(u, (p - 1) // 2, p) == 1:
+        r = arith.tonelli_shanks(u, p)
+        assert r * r % p == u and r <= p - r
+    else:
+        with pytest.raises(ValueError):
+            arith.tonelli_shanks(u, p)
+
+
+def test_sqrt_mod_prime_power_rejects_non_primes():
+    for p in (1, 2, 9, 15, 65535):
+        with pytest.raises(ValueError):
+            arith.sqrt_mod_prime_power(1, p, 1)
+    with pytest.raises(ValueError):
+        arith.sqrt_mod_prime_power(1, 7, 0)
 
 
 def test_sqrt_mod_composite():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from deltasieve import density as dn
+from deltasieve.arith import primes_up_to
 
 
 def test_sigma_examples():
@@ -16,6 +18,16 @@ def test_sigma_examples():
 def test_sigma_against_pair_loop():
     for q in (2, 3, 4, 6, 9, 12, 25, 49, 100):
         assert dn.sigma(q).sigma == dn.sigma_pair_bruteforce(q).sigma
+
+
+def test_pair_grid_matches_double_loop():
+    for q in range(1, 61):
+        n = sum(
+            1 for a in range(q) for b in range(q) if (4 * a**3 + 27 * b**2) % q == 0
+        )
+        assert dn.sigma_pair_bruteforce(q).sigma == n, q
+    with pytest.raises(ValueError):
+        dn.sigma_pair_bruteforce(1001)
 
 
 def test_sigma_structured_path():
@@ -53,6 +65,40 @@ def test_euler_product_intervals():
         dn.euler_product(3, 100)
     with pytest.raises(ValueError):
         dn.euler_product(1, 3)
+
+
+def _euler_product_mpf(theorem: int, P: int, dps: int = 30) -> dn.EulerProductResult:
+    """The mpf route to `euler_product`: one mpf factor per prime and a
+    second prime loop subtracting the head sums from primezeta."""
+    with mp.workdps(dps + 15):
+        partial = mp.mpf(1) / 3 if theorem == 2 else mp.mpf(1)
+        for p in primes_up_to(P):
+            if theorem == 1:
+                s = dn.sigma(p * p).sigma if p <= 100 else 2 * p * p - p
+                partial *= 1 - mp.mpf(s) / mp.mpf(p) ** 4
+            elif p > 3:
+                partial *= 1 - mp.mpf(2 * p - 1) / mp.mpf(p) ** 3
+        z2 = mp.primezeta(2)
+        z3 = mp.primezeta(3)
+        for p in primes_up_to(P):
+            z2 -= mp.mpf(1) / (p * p)
+            z3 -= mp.mpf(1) / (p * p * p)
+        main = 2 * z2 - z3
+        rem_hi = mp.mpf("2.2") * (mp.mpf(1) / (3 * P**3) + mp.mpf(P) ** -4)
+        slack = mp.mpf(10) ** (5 - dps)
+        log_lo, log_hi = main - slack, main + rem_hi + slack
+        hi = partial * mp.e ** (-log_lo)
+        lo = partial * mp.e ** (-log_hi)
+        value = (lo + hi) / 2
+        return dn.EulerProductResult(
+            theorem, P, float(partial), float(value), float((hi - lo) / 2), float(lo), float(hi)
+        )
+
+
+@pytest.mark.parametrize("P", [5, 7, 100, 10**3, 10**4, 10**5, 10**6])
+def test_euler_product_matches_mpf_route(P):
+    for theorem in (1, 2):
+        assert dn.euler_product(theorem, P) == _euler_product_mpf(theorem, P)
 
 
 def test_mu_phi_series():

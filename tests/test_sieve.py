@@ -117,6 +117,70 @@ def test_delta_zero_parametrization_excluded():
         t += 1
 
 
+def _naive_count_concat(X: float, chunk: int = 1 << 24) -> int:
+    """The int64-concat route of `naive_squarefree_count`: every |Delta| in
+    one int64 array, the full prime list marked on each bitmap chunk, and
+    each chunk's values found by two full-length masks."""
+    Amax, Bmax = int(math.floor(X**4)), int(math.floor(X**6))
+    dmax = 4 * Amax**3 + 27 * Bmax**2
+    ps = arith.primes_up_to(math.isqrt(dmax))
+    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
+    vals = []
+    for A in range(-Amax, Amax + 1):
+        d = 4 * A**3 + 27 * B * B
+        vals.append(np.abs(d[d != 0]))
+    allv = np.concatenate(vals)
+    total = 0
+    for lo in range(0, dmax + 1, chunk):
+        hi = min(lo + chunk, dmax + 1)
+        sf = np.ones(hi - lo, dtype=bool)
+        for p in ps:
+            if p * p > hi:
+                break
+            sf[(-lo) % (p * p) :: p * p] = False
+        sel = (allv >= lo) & (allv < hi)
+        total += int(sf[allv[sel] - lo].sum())
+    return total
+
+
+@pytest.mark.parametrize("X", [1, 1.5, 2, 2.5, 3])
+def test_naive_squarefree_count_matches_concat_route(X):
+    want = _naive_count_concat(X)
+    assert sv.naive_squarefree_count(X) == want
+    # many small bitmaps; at X = 2 and 2.5 some chunks hold no value
+    assert sv.naive_squarefree_count(X, chunk=1000 if X < 3 else 1 << 16) == want
+
+
+def test_naive_squarefree_count_cap(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the cap was checked")
+
+    monkeypatch.setattr(sv.np, "empty", no_alloc)
+    monkeypatch.setattr(sv.np, "arange", no_alloc)
+    for X in (4.01, 5, 8):
+        with pytest.raises(ValueError):
+            sv.naive_squarefree_count(X)
+
+
+def test_stripe_B_sum_invariant(monkeypatch):
+    """B -> -B fixes Delta, so every stripe's survivors sum to 0; a count
+    whose mark breaks the symmetry is refused, naming the stripe."""
+    mark = sv._StripeSieve.mark
+
+    def flip_one(self, As):
+        marked = mark(self, As)
+        rows = np.flatnonzero(As == 1)
+        if rows.size:
+            marked[rows[0], self.Bmax + 1] ^= True  # (A, B) = (1, 1)
+        return marked
+
+    monkeypatch.setattr(sv._StripeSieve, "mark", flip_one)
+    with pytest.raises(RuntimeError, match="stripe A = 1:"):
+        sv.exact_count(sv.CountConfig(X=2))
+    with pytest.raises(RuntimeError, match="stripe A = 1:"):
+        sv.smoothed_count(sv.CountConfig(X=1, mode="smoothed"))
+
+
 def test_S_term():
     assert sv.S_term(1, 2) == 2
     assert sv.S_term(1, 5) == 0

@@ -112,16 +112,20 @@ class Factorization:
         return sorted(divs)
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
+def prime_sieve(n: int) -> np.ndarray:
+    """is_prime[m] for 0 <= m <= n as one bool array (n + 1 bytes), by
+    Eratosthenes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return sieve[: max(n + 1, 0)]
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, by Eratosthenes."""
+    return np.flatnonzero(prime_sieve(n)).tolist()
 
 
 def is_prime(n: int) -> bool:

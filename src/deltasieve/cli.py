@@ -34,14 +34,16 @@ from .density import (
     euler_product,
     paper_balance,
 )
+from .deadline import TimeBudgetExceeded
 from .sieve import MAIN_TERM_CSV_COLUMNS, CountConfig, compare_main_term
-from .suites import TimeBudgetExceeded, run_suite
+from .suites import run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# `constant` sieves the primes up to P with a P + 1 byte bitmap (100 MB here)
+# `constant --prime-bound 10**8` peaks at ~140 MiB RSS (measured): one P + 1
+# byte prime bitmap, walked in 2^20-wide segments
 MAX_PRIME_BOUND = 10**8
 
 

@@ -24,9 +24,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .arith import is_prime, mobius_table, phi_table, primes_up_to
+from .arith import is_prime, mobius_table, phi_table, prime_sieve, primes_up_to
 
 SIGMA_CAP = 10**4
+_SEGMENT = 1 << 20  # width of each step of the Euler product's walk over its prime bitmap
 SIGMA_STRUCTURED_CAP = 500
 
 
@@ -150,6 +151,9 @@ def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProduct
     under both the slack 10^(5 - dps) added to the tail interval and the
     dps + 15 working digits of the mpmath stage (primezeta, remainder
     bound, exp), where the integers become mpf once.
+
+    The primes are read from one prime bitmap in 2^20-wide segments, so at
+    P = 10^8 the 5.76 M primes never exist as one list of ints.
     """
     if theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
@@ -158,16 +162,18 @@ def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProduct
     K = 4 * (dps + 15) + 64
     one = 1 << K
     num, head2, head3 = one, 0, 0
-    for p in primes_up_to(prime_bound):
-        p2 = p * p
-        p3 = p2 * p
-        if theorem == 1:
-            s = sigma(p2).sigma if p <= 100 else 2 * p2 - p
-            num -= num * s // (p2 * p2)
-        elif p > 3:
-            num -= num * (2 * p - 1) // p3
-        head2 += one // p2
-        head3 += one // p3
+    is_p = prime_sieve(prime_bound)
+    for lo in range(0, prime_bound + 1, _SEGMENT):
+        for p in (np.flatnonzero(is_p[lo : lo + _SEGMENT]) + lo).tolist():
+            p2 = p * p
+            p3 = p2 * p
+            if theorem == 1:
+                s = sigma(p2).sigma if p <= 100 else 2 * p2 - p
+                num -= num * s // (p2 * p2)
+            elif p > 3:
+                num -= num * (2 * p - 1) // p3
+            head2 += one // p2
+            head3 += one // p3
     with mp.workdps(dps + 15):
         partial = mp.ldexp(mp.mpf(num), -K)
         if theorem == 2:

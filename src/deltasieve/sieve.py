@@ -2,26 +2,39 @@
 |B| <= X^6, plus the congruence counts S(X; k^2), the Mobius sieve
 identity, the k > xi tail, and main-term comparisons.
 
-Exactness strategy: per-A stripes are sieved by every prime
+Exactness strategy: every stripe (one A, all B) is sieved by every prime
 p <= sqrt(Delta_max); a surviving pair is certified square-free because
 any square divisor of Delta has a prime factor at most sqrt(|Delta|).
-The rows of A are cut into chunks; for each chunk:
+The rules:
 
   * 4 | Delta  iff  B is even            (column rule)
-  * 9 | Delta  iff  3 | A                (whole stripes die)
+  * 9 | Delta  iff  3 | A                (whole stripes die; they hold
+                                          every Delta = 0 pair)
   * p | A (5 <= p <= max |A|): p^2 | Delta iff p | B
-  * otherwise the B-roots of 27 B^2 = -4 A^3 (mod p^2) come from the
-    prime-blocked root kernel: each numpy call solves a block of primes
-    times the chunk's live rows (at most _BLOCK pairs), one prime per
-    row, by Tonelli-Shanks mod p with per-prime constants broadcast
-    over the row, then a Hensel lift to p^2 whose inverse comes from the
-    Legendre squaring chain.
+  * otherwise p^2 | Delta iff B is one of the two roots mod p^2 of
+    27 B^2 + 4 A^3, which lie over the cusp roots mod p,
+    B = +-(2A/9) sqrt(-3A): the points (-3t^2, 2t^3) where Delta = 0.
 
-Each process (the caller, or each pool worker) builds the per-prime
-constants once and marks every chunk it handles in one reused buffer
-of chunk_size stripes.  Pairs with Delta = 0 are excluded everywhere
-(they lie in the 3 | A stripes, which the sieve kills anyway; the
-exclusion is explicit).
+A count runs in two stages.
+
+Stage 1 (roots) works on blocks of primes.  Per block it takes square
+roots mod p only of the primes l <= max |A| and of +-3, twisted so that
+every l has one: rho(l)^2 = l z^f, z the prime's fixed non-residue and
+f the Legendre bit (`_twisted_roots`).  The twisted roots of all the
+needed n then follow by one product each along n = spf(n) (n / spf(n))
+(`_root_table`).  As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp
+root mod p is one product on that table (`_cusp_roots`).  A prime
+p >= L = 2 Bmax + 1 leaves one candidate pair +-B with |B| <= Bmax per
+stripe, kept when p^2 | Delta; a smaller prime lifts the root to p^2
+(`_lift_root`).  The stage emits hits (stripe, column) and, where
+p^2 < L, stripes of columns (stripe, root, p^2).
+
+Stage 2 (rows) marks one stripe at a time in a reused L-byte buffer
+(`_mark_row`) and reduces its survivors to (count, sum B, sum B^2).
+
+A pool splits the prime blocks of stage 1 across its workers and merges
+their hits before stage 2.  Marking is idempotent, so counts and stripe
+digests do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import mobius_table, primes_up_to
+from .deadline import Deadline
 from .density import euler_product
 from .weights import gaussian_weight
 
@@ -56,7 +70,6 @@ class CountConfig:
     X: float
     mode: str = "exact"  # exact | smoothed
     threads: int = 1
-    chunk_size: int = 256
 
     def __post_init__(self):
         if self.mode not in ("exact", "smoothed"):
@@ -69,8 +82,6 @@ class CountConfig:
             raise ValueError("smoothed mode guard: X <= 4")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,9 @@ class CountResult:
     nstripes: int
     stripe_digest: str
     stripe_summaries: tuple = field(repr=False, default=())
+    # seconds per stage: roots.table and roots.pairs summed over the
+    # processes of stage 1, rows for stage 2
+    stage_seconds: dict = field(repr=False, compare=False, default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +105,18 @@ class CountResult:
 
 class _Primes(NamedTuple):
     """Per-prime constants of the root kernel.  With p - 1 = q 2^s, q odd:
-    h = (q - 1) / 2, zq = z^q for a quadratic non-residue z, and the
-    inverses of 27 and 54 mod p."""
+    h = (q - 1) / 2, the least quadratic non-residue z with zh = z^h,
+    zq = z^q and zinv = z^-1, and the residues 2/9, -27/4 and 1/54 mod p."""
 
     p: np.ndarray
     h: np.ndarray
     s: np.ndarray
+    z: np.ndarray
+    zh: np.ndarray
     zq: np.ndarray
-    inv27: np.ndarray
+    zinv: np.ndarray
+    two9: np.ndarray
+    m27_4: np.ndarray
     inv54: np.ndarray
 
     @classmethod
@@ -107,22 +125,53 @@ class _Primes(NamedTuple):
         low = (p - 1) & (1 - p)  # 2^s
         s = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1
         q = (p - 1) // low
-        z = np.zeros_like(p)
-        todo = np.arange(p.size)
-        cand = 2
-        while todo.size:
-            pt = p[todo]
-            base = np.full(todo.size, cand, dtype=np.int64)
-            nonres = _powmod(base, (pt - 1) // 2, pt) == pt - 1
-            z[todo[nonres]] = cand
-            todo = todo[~nonres]
-            cand += 1
-        inv27 = _powmod(np.full(p.size, 27, dtype=np.int64), p - 2, p)
-        return cls(p, (q - 1) // 2, s, _powmod(z, q, p), inv27, inv27 * ((p + 1) // 2) % p)
+        h = (q - 1) // 2
+        z = _least_nonresidue(p)
+        zh = _powmod(z, h, p)
+        inv2 = (p + 1) // 2
+        inv27 = _inverse_small(np.full_like(p, 27), p)
+        return cls(
+            p, h, s, z, zh, zh * zh % p * z % p, _inverse_small(z, p),
+            6 * inv27 % p, (p - 27) * inv2 % p * inv2 % p, inv27 * inv2 % p,
+        )
 
     def take(self, sel) -> _Primes:
         """The constants of the primes p[sel]."""
         return _Primes(*(f[sel] for f in self))
+
+
+def _least_nonresidue(p: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue mod each odd prime p >= 5.  It is a
+    prime l < sqrt(p) + 1, found by reciprocity from p mod 8 (l = 2) or
+    from a table of the squares mod l: (l/p) = (p/l), negated when
+    p = l = 3 (mod 4)."""
+    z = np.zeros_like(p)
+    todo = np.arange(p.size)
+    for ell in primes_up_to(math.isqrt(int(p.max(initial=5))) + 1):
+        pt = p[todo]
+        if ell == 2:
+            nonres = (pt % 8 == 3) | (pt % 8 == 5)
+        else:
+            square = np.zeros(ell, dtype=bool)
+            square[np.arange(1, ell) ** 2 % ell] = True
+            nonres = square[pt % ell] == ((pt % 4 == 3) & (ell % 4 == 3))
+            nonres &= pt != ell
+        z[todo[nonres]] = ell
+        todo = todo[~nonres]
+        if not todo.size:
+            break
+    return z
+
+
+def _inverse_small(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^-1 mod p for small a >= 2 prime to p: (1 + k p) / a, with
+    k = -p^-1 mod a from a table of the inverses mod each distinct a."""
+    k = np.empty_like(p)
+    for m in np.flatnonzero(np.bincount(a)).tolist():
+        sel = np.flatnonzero(a == m)
+        table = np.array([pow(r, -1, m) if math.gcd(r, m) == 1 else 0 for r in range(m)])
+        k[sel] = -table[p[sel] % m] % m
+    return (1 + k * p) // a
 
 
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -144,19 +193,20 @@ def _powmod(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sqrt_mod_p_vec(x: np.ndarray, pr: _Primes):
+def _sqrt_mod_p_vec(x: np.ndarray, pr: _Primes, w: np.ndarray | None = None):
     """Square roots mod p of x, where row i of x (1-D or 2-D, entries in
     [0, p)) belongs to the prime pr.p[i].
 
     Returns (i, r, xinv): the flat indices of the entries of x that are
     nonzero squares, a root r of each, and x^-1 mod p.  Tonelli-Shanks:
-    w = x^h gives r = w x and tt = x^q = w^2 x; the Legendre symbol is
-    tt^(2^(s-1)), and the same squaring chain gives
+    w = x^h (computed unless given) gives r = w x and tt = x^q = w^2 x;
+    the Legendre symbol is tt^(2^(s-1)), and the same squaring chain gives
     x^-1 = x^(p-2) = w^2 prod_{j<s} tt^(2^j), whose last factor is 1
     for a square.
     """
     p = _column(pr.p, x.ndim)
-    w = _powmod(x, pr.h, pr.p)
+    if w is None:
+        w = _powmod(x, pr.h, pr.p)
     xinv = w * w % p
     tt = xinv * x % p
     r = w * x % p
@@ -217,142 +267,415 @@ def _tonelli_steps(r: np.ndarray, tt: np.ndarray, pr: _Primes) -> np.ndarray:
     return r
 
 
-def _lift_root(r: np.ndarray, xinv: np.ndarray, a3: np.ndarray, pr: _Primes) -> np.ndarray:
+def _lift_root(r, xinv, a3, p, inv54) -> np.ndarray:
     """Hensel lift of a root r mod p of 27 B^2 + 4 A^3 (x = r^2, a3 = A^3)
     to the root r + p k mod p^2, with k = -(f(r) / p) (54 r)^-1 and
-    (54 r)^-1 = r x^-1 / 54 mod p."""
-    p = pr.p
-    k = (-((27 * r * r + 4 * a3) // p)) % p * r % p * xinv % p * pr.inv54 % p
+    (54 r)^-1 = r x^-1 / 54 mod p (inv54 = 1/54 mod p)."""
+    k = (-((27 * r * r + 4 * a3) // p)) % p * r % p * xinv % p * inv54 % p
     return r + p * k
 
 
-def _stripe_roots(a3: np.ndarray, pr: _Primes):
-    """B-roots of 27 B^2 + 4 A^3 = 0 (mod p^2) for row i of a3 (shape
-    (len(pr), k) or broadcastable to it) against the prime pr.p[i].
+def _twisted_roots(x: np.ndarray, pr: _Primes):
+    """Twisted square roots of the 2-D x (row i against pr.p[i], entries
+    in [0, p)): (rho, f, inv) with f the Legendre bit (x a non-residue),
+    rho^2 = x z^f and inv = x^-1 mod p.  All three are 0 where x = 0.
 
-    Returns (i, R): flat indices into the (len(pr), k) grid of the pairs
-    with p not dividing A that have roots, which are R and p^2 - R.
-    Pairs with p | A get none here.
-    """
-    p = _column(pr.p, 2)
-    x = (-4 * a3) % p * _column(pr.inv27, 2) % p  # B^2 = x (mod p)
-    i, r, xinv = _sqrt_mod_p_vec(x, pr)
-    rows = i // x.shape[1]
-    a3i = np.broadcast_to(a3, x.shape).ravel()[i]
-    return i, _lift_root(r, xinv, a3i, pr.take(rows))
+    Squares come from one pass of `_sqrt_mod_p_vec`; the other nonzero
+    entries, times z, from a second pass over those alone, which reuses
+    x^h: (x z)^h = x^h z^h."""
+    rho = np.zeros_like(x)
+    inv = np.zeros_like(x)
+    f = np.zeros(x.shape, dtype=bool)
+    w = _powmod(x, pr.h, pr.p)
+    i, r, xinv = _sqrt_mod_p_vec(x, pr, w)
+    rho.flat[i] = r
+    inv.flat[i] = xinv
+    rest = (x != 0).ravel()
+    rest[i] = False
+    rest = np.flatnonzero(rest)
+    rows = rest // x.shape[1]
+    z, p = pr.z[rows], pr.p[rows]
+    wz = w.flat[rest] * pr.zh[rows] % p
+    j, r, xinv = _sqrt_mod_p_vec(x.flat[rest] * z % p, pr.take(rows), wz)
+    if j.size != rest.size:
+        raise RuntimeError("twisted roots: x z is not a square for a non-residue x")
+    rho.flat[rest] = r
+    inv.flat[rest] = xinv * z % p
+    f.flat[rest] = True
+    return rho, f, inv
+
+
+def _spf_table(n: int) -> np.ndarray:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n (spf[1] = 1)."""
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(n)):
+        seg = spf[p * p :: p]
+        seg[seg == np.arange(p * p, n + 1, p)] = p
+    return spf
+
+
+class _Plan(NamedTuple):
+    """The columns of the root tables of one set of stripes.
+
+    n: the column values, increasing, n[0] = 1: every |A| of the stripes,
+    closed under m -> spf(m), m / spf(m).  ell: the columns of the primes.
+    layers: for each Omega >= 2, the columns m of that Omega with the
+    columns of spf(m) and m / spf(m).  rows[0 | 1, c]: the stripe of
+    A = +n[c] | -n[c], or -1.  spf: smallest prime factors up to n[-1]."""
+
+    n: np.ndarray
+    ell: np.ndarray
+    layers: tuple
+    rows: np.ndarray
+    spf: np.ndarray
+
+    @classmethod
+    def of(cls, As, ids) -> _Plan:
+        """The plan of the nonzero A = As[k], stripe ids[k]."""
+        A = np.asarray(As, dtype=np.int64)
+        a = np.abs(A)
+        spf = _spf_table(int(a.max(initial=1)))
+        need = np.zeros(spf.size, dtype=bool)
+        need[1] = True
+        need[a] = True
+        m = np.flatnonzero(need & (spf < np.arange(spf.size)))
+        while m.size:  # composites whose factors may not be needed yet
+            need[spf[m]] = True
+            m = m // spf[m]
+            m = m[~need[m]]
+            need[m] = True
+            m = m[spf[m] < m]
+        n = np.flatnonzero(need)
+        col = np.full(spf.size, -1, dtype=np.int64)
+        col[n] = np.arange(n.size)
+        omega = np.zeros(spf.size, dtype=np.int64)
+        for v in n[1:].tolist():
+            omega[v] = omega[v // spf[v]] + 1
+        om = omega[n]
+        layers = tuple(
+            (col[v], col[spf[v]], col[v // spf[v]])
+            for k in range(2, int(om.max(initial=0)) + 1)
+            for v in [n[om == k]]
+        )
+        rows = np.full((2, n.size), -1, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        rows[0, col[a[A > 0]]] = ids[A > 0]
+        rows[1, col[a[A < 0]]] = ids[A < 0]
+        return cls(n, col[n[om == 1]], layers, rows, spf)
+
+
+class _Table(NamedTuple):
+    """The root table of one prime block (rows) against a plan (columns).
+
+    rho, f: twisted roots, rho(n)^2 = n z^f mod p with f the Legendre bit
+    of n (rho = 0 exactly where p | n); t = n rho(n) mod p; inv = n^-1 mod p
+    (None when no lift needs it).  cusp[s], fcusp[s] for A = +n (s = 0) and
+    A = -n (s = 1): the cusp root of a stripe is cusp[s] t(n) when
+    f(n) = fcusp[s], the Legendre bit of -3 (s = 0) or 3 (s = 1)."""
+
+    rho: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
+    inv: np.ndarray | None
+    cusp: np.ndarray
+    fcusp: np.ndarray
+
+
+def _root_table(pr: _Primes, plan: _Plan, with_inv: bool) -> _Table:
+    """Twisted roots of the primes l in the plan and of -3, 3 by
+    `_twisted_roots`, then of each composite m = l m' by
+    rho(m) = rho(l) rho(m') / z^(f(l) f(m')), one layer of Omega at a time.
+    The cusp constants are (+-2/9) rho(-+3) / z^f(-+3), so that
+    (cusp t)^2 = (4/81) (-3A) A^2 = -4 A^3 / 27 for A = +-n."""
+    p = pr.p[:, None]
+    k = plan.ell.size
+    x = np.concatenate([plan.n[plan.ell], [-3, 3]]) % p
+    rl, fl, il = _twisted_roots(x, pr)
+    rho = np.empty((pr.p.size, plan.n.size), dtype=np.int64)
+    f = np.empty(rho.shape, dtype=bool)
+    rho[:, 0], f[:, 0] = 1, False
+    rho[:, plan.ell], f[:, plan.ell] = rl[:, :k], fl[:, :k]
+    inv = None
+    if with_inv:
+        inv = np.empty_like(rho)
+        inv[:, 0] = 1
+        inv[:, plan.ell] = il[:, :k]
+    zinv = pr.zinv[:, None]
+    for cols, a, b in plan.layers:
+        fa, fb = f[:, a], f[:, b]
+        r = rho[:, a] * rho[:, b] % p
+        rho[:, cols] = np.where(fa & fb, r * zinv % p, r)
+        f[:, cols] = fa ^ fb
+        if with_inv:
+            inv[:, cols] = inv[:, a] * inv[:, b] % p
+    r3, f3 = rl[:, k:].T, fl[:, k:].T
+    c = np.array([[1], [-1]]) * pr.two9 % pr.p * r3 % pr.p
+    cusp = np.where(f3, c * pr.zinv % pr.p, c)
+    return _Table(rho, f, plan.n * rho % p, inv, cusp, f3)
+
+
+def _cusp_roots(tab: _Table, pr: _Primes, s: int):
+    """(B0, ok) over the table for A = +n (s = 0) or -n (s = 1): B0 is a
+    root mod p of 27 B^2 + 4 A^3 (the other is p - B0) where ok, and
+    there is none where not ok (p | A, or -3A a non-residue)."""
+    B0 = tab.t * tab.cusp[s][:, None] % pr.p[:, None]
+    return B0, (tab.f == tab.fcusp[s][:, None]) & (B0 != 0)
+
+
+def _lift_cusp(tab: _Table, pr: _Primes, plan: _Plan, s: int, i, c, r) -> np.ndarray:
+    """The roots mod p^2 over the cusp roots r of the table entries (i, c),
+    A = +-n[c]; x^-1 = (-27/4) A^-3 with A^-1 = +-n^-1 from the table."""
+    p = pr.p[i]
+    inv = tab.inv[i, c]
+    xinv = inv * inv % p * inv % p * pr.m27_4[i] % p
+    if s:
+        xinv = (p - xinv) % p
+    A = plan.n[c] * (1 - 2 * s)
+    return _lift_root(r, xinv, A * A * A, p, pr.inv54[i])
 
 
 def stripe_root_sets(As, ps) -> list[set[int]]:
-    """For each pair (A, p), p >= 5 a prime not dividing A: the root
-    kernel's B mod p^2 with 27 B^2 + 4 A^3 = 0 (mod p^2)."""
+    """For each pair (A, p), p >= 5 a prime not dividing A: the B mod p^2
+    with 27 B^2 + 4 A^3 = 0 (mod p^2), through the count's root tables
+    (cusp root mod p, lifted)."""
     A = np.asarray(As, dtype=np.int64)
-    pr = _Primes.of(ps)
-    i, R = _stripe_roots((A * A * A)[:, None], pr)
+    p = np.asarray(ps, dtype=np.int64)
     sets = [set() for _ in range(A.size)]
-    for j, root in zip(i.tolist(), R.tolist()):
-        p2 = int(pr.p[j]) ** 2
-        sets[j] = {root, p2 - root}
+    j = np.flatnonzero(A % p != 0)
+    plan = _Plan.of(A[j], j)
+    cols = np.searchsorted(plan.n, np.abs(A[j]))
+    uniq, pi = np.unique(p[j], return_inverse=True)
+    size = _block_size(plan)
+    for lo in range(0, uniq.size, size):
+        pr = _Primes.of(uniq[lo : lo + size])
+        tab = _root_table(pr, plan, with_inv=True)
+        for s in (0, 1):
+            B0, ok = _cusp_roots(tab, pr, s)
+            k = np.flatnonzero((pi >= lo) & (pi < lo + size) & ((A[j] < 0) == s))
+            i, c = pi[k] - lo, cols[k]
+            keep = ok[i, c]
+            k, i, c = k[keep], i[keep], c[keep]
+            R = _lift_cusp(tab, pr, plan, s, i, c, B0[i, c])
+            for jj, root, q in zip(j[k].tolist(), R.tolist(), pr.p[i].tolist()):
+                sets[jj] = {root, q * q - root}
     return sets
 
 
 # ---------------------------------------------------------------------------
-# stripe sieve
+# stage 1: roots, one block of primes at a time
 
-# (prime, A) pairs solved per call of the root kernel: bounds its
-# temporaries to a few hundred KiB
-_BLOCK = 8192
+# table entries (primes x columns) per prime block: bounds the temporaries
+# of a block to about a MiB
+_TABLE = 1 << 15
 
 
-class _StripeSieve:
-    """One process's share of a count: the kernel constants of every prime
-    5 <= p <= pmax and one mark buffer of `rows` stripes, reused for every
-    chunk of A the process sieves."""
+def _block_size(plan: _Plan) -> int:
+    """Primes per block for the plan's column count."""
+    return max(1, _TABLE // plan.n.size)
 
-    def __init__(self, rows: int, Bmax: int, pmax: int, X: float, mode: str):
-        self.Bmax, self.X, self.mode = Bmax, X, mode
-        primes = _Primes.of(primes_up_to(pmax)[2:])
-        # blocks of one s (mostly), in increasing p: s = 1 needs no
-        # Tonelli-Shanks steps, and exponents of one block have similar length
-        self.primes = primes.take(np.lexsort((primes.p, primes.s)))
-        self.marked = np.empty((rows, 2 * Bmax + 1), dtype=bool)
 
-    def mark(self, As: np.ndarray) -> np.ndarray:
-        """Boolean matrix (len(As), 2*Bmax+1), a view of the buffer: True
-        where some p <= pmax has p^2 | Delta(A, B), B = column - Bmax."""
-        Bmax = self.Bmax
-        L = 2 * Bmax + 1
-        marked = self.marked[: As.size]
-        marked[...] = False
-        marked[As % 3 == 0, :] = True
-        marked[:, Bmax % 2 :: 2] = True  # B even <=> 4 | Delta
+class _Found(NamedTuple):
+    """Stage 1's output for some prime blocks: hits (stripe * L + column)
+    and stripes of columns (stripe, root, modulus p^2 < L)."""
 
+    hits: np.ndarray
+    rows: np.ndarray
+    roots: np.ndarray
+    mods: np.ndarray
+
+
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+class _RootStage:
+    """Stage 1 for the stripes As (3 | A stripes need no roots): their plan
+    and box, shared by all the prime blocks one process solves."""
+
+    def __init__(self, As: np.ndarray, Bmax: int):
         live = np.flatnonzero(As % 3 != 0)
-        if live.size == 0:
-            return marked
-        A = As[live]
-        a3 = A * A * A  # |A| <= X^4 <= 4096 so A^3 fits easily
+        self.plan = _Plan.of(As[live], live)
+        self.Bmax, self.L = Bmax, 2 * Bmax + 1
+        self.seconds = {"roots.table": 0.0, "roots.pairs": 0.0}
 
-        ps = self.primes.p
-        small = ps[ps <= np.abs(A).max()]
-        for pi, ai in zip(*np.nonzero(A % small[:, None] == 0)):
-            p = int(small[pi])
-            marked[live[ai], Bmax % p :: p] = True  # p | A: p^2 | Delta iff p | B
+    def blocks(self, pmax: int) -> list[np.ndarray]:
+        """The primes 5 <= p <= pmax in blocks: those p < L (lifted) apart
+        from p >= L, each ordered by s then p (s = 1 needs no
+        Tonelli-Shanks steps, and the exponents of a block have similar
+        length)."""
+        p = np.asarray(primes_up_to(pmax)[2:], dtype=np.int64)
+        big = p >= self.L
+        p = p[np.lexsort((p, (p - 1) & (1 - p), big))]
+        cut = int(np.count_nonzero(~big))
+        size = _block_size(self.plan)
+        return [
+            p[lo : min(lo + size, hi)]
+            for lo0, hi in ((0, cut), (cut, p.size))
+            for lo in range(lo0, hi, size)
+        ]
 
-        step = max(1, _BLOCK // A.size)
-        for lo in range(0, ps.size, step):
-            pr = self.primes.take(slice(lo, lo + step))
-            i, R = _stripe_roots(a3[None, :], pr)
-            p2 = pr.p[i // A.size] ** 2
-            rows = live[i % A.size]
-            few = np.flatnonzero(p2 < L)  # several columns per root
-            for j in few:
-                q2, row, root = int(p2[j]), rows[j], int(R[j])
-                marked[row, (root + Bmax) % q2 :: q2] = True
-                marked[row, (q2 - root + Bmax) % q2 :: q2] = True
-            for roots in (R, p2 - R):
-                idx = (roots + Bmax) % p2
-                ok = idx < L
-                marked[rows[ok], idx[ok]] = True
-        return marked
+    def run(self, primes: np.ndarray) -> _Found:
+        t0 = time.perf_counter()
+        pr = _Primes.of(primes)
+        lift = bool(primes[0] < self.L)
+        tab = _root_table(pr, self.plan, with_inv=lift)
+        t1 = time.perf_counter()
+        parts = []
+        for s in (0, 1):
+            B0, ok = _cusp_roots(tab, pr, s)
+            ok &= self.plan.rows[s] >= 0
+            k = np.flatnonzero(ok)
+            i, c = np.divmod(k, B0.shape[1])
+            B0 = B0.ravel()[k]
+            parts.append(self._lift(tab, pr, s, i, c, B0) if lift else self._check(pr, s, i, c, B0))
+        self.seconds["roots.table"] += t1 - t0
+        self.seconds["roots.pairs"] += time.perf_counter() - t1
+        return _Found(*(np.concatenate(col) for col in zip(*parts)))
 
-    def count(self, a_lo: int, a_hi: int) -> list[tuple]:
-        """(A, survivors, sum B, sum B^2 mod 2^61-1[, weighted sum]) for each
-        stripe a_lo <= A < a_hi."""
-        As = np.arange(a_lo, a_hi, dtype=np.int64)
-        marked = self.mark(As)
-        w = gaussian_weight()
-        out = []
-        Bs = np.arange(-self.Bmax, self.Bmax + 1, dtype=np.int64)
-        X, mode = self.X, self.mode
-        for i, A in enumerate(As):
-            # Delta = 0 needs (A, B) = (-3t^2, +-2t^3), so 3 | A: `mark` filled the row
-            surv = Bs[~marked[i]]
-            cnt = int(surv.size)
-            bsum = int(surv.sum()) if cnt else 0
-            b2 = int((surv * surv % (2**61 - 1)).sum() % (2**61 - 1)) if cnt else 0
-            if mode == "smoothed":
-                wsum = float(w.value(A / X**4) * np.sum(w.value(surv / X**6))) if cnt else 0.0
-                out.append((int(A), cnt, bsum, b2, wsum))
-            else:
-                out.append((int(A), cnt, bsum, b2))
-        return out
+    def _check(self, pr: _Primes, s: int, i, c, B0) -> _Found:
+        """p >= L: the one candidate +-b, b = min(B0, p - B0) <= Bmax of
+        each stripe, kept when p^2 | Delta."""
+        b = np.minimum(B0, pr.p[i] - B0)
+        near = np.flatnonzero(b <= self.Bmax)
+        i, c, b = i[near], c[near], b[near]
+        A = self.plan.n[c] * (1 - 2 * s)
+        keep = (27 * b * b + 4 * A * A * A) % pr.p[i] ** 2 == 0
+        flat = self.plan.rows[s][c[keep]] * self.L + self.Bmax
+        b = b[keep]
+        return _Found(np.concatenate([flat - b, flat + b]), _NONE, _NONE, _NONE)
 
-
-_worker_sieve: _StripeSieve | None = None  # set in each pool worker process
-
-
-def _init_worker(*args):
-    global _worker_sieve
-    _worker_sieve = _StripeSieve(*args)
+    def _lift(self, tab: _Table, pr: _Primes, s: int, i, c, B0) -> _Found:
+        """p < L: both roots R, p^2 - R mod p^2 of each stripe; stripes of
+        columns where p^2 < L, else at most one column per root."""
+        R = _lift_cusp(tab, pr, self.plan, s, i, c, B0)
+        p2 = np.tile(pr.p[i] ** 2, 2)
+        roots = np.concatenate([R, p2[: R.size] - R])
+        rows = np.tile(self.plan.rows[s][c], 2)
+        few = p2 < self.L
+        col = (roots + self.Bmax) % p2
+        one = ~few & (col < self.L)
+        return _Found(rows[one] * self.L + col[one], rows[few], roots[few], p2[few])
 
 
-def _pool_chunk(bounds: tuple[int, int]) -> list[tuple]:
-    return _worker_sieve.count(*bounds)
+_worker_stage: _RootStage | None = None  # set in each pool worker process
+_worker_deadline: Deadline | None = None
+
+
+def _init_worker(As: np.ndarray, Bmax: int, deadline: Deadline):
+    global _worker_stage, _worker_deadline
+    _worker_stage, _worker_deadline = _RootStage(As, Bmax), deadline
+
+
+def _pool_blocks(blocks: list[np.ndarray]) -> tuple[list[_Found], dict]:
+    found = []
+    for primes in blocks:
+        _worker_deadline.check()
+        found.append(_worker_stage.run(primes))
+    seconds = dict(_worker_stage.seconds)
+    _worker_stage.seconds = dict.fromkeys(seconds, 0.0)
+    return found, seconds
+
+
+def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: Deadline):
+    """Stage 1 over all primes 5 <= p <= pmax: (plan, found, seconds).
+    With more than one worker, each task is a share of the prime blocks,
+    so no table is built twice; a deadline that expires in any process
+    cancels the tasks not yet started."""
+    stage = _RootStage(As, Bmax)
+    blocks = stage.blocks(pmax)
+    workers = min(threads, os.cpu_count() or 1, len(blocks))
+    if workers <= 1:
+        found = []
+        for primes in blocks:
+            deadline.check()
+            found.append(stage.run(primes))
+        return stage.plan, found, stage.seconds
+    ntasks = min(len(blocks), 4 * workers)
+    tasks = [blocks[k::ntasks] for k in range(ntasks)]  # lift and p >= L blocks in each
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(As, Bmax, deadline)
+    ) as pool:
+        futures = [pool.submit(_pool_blocks, task) for task in tasks]
+        try:
+            done = [fut.result() for fut in futures]
+        except BaseException:
+            for fut in futures:
+                fut.cancel()
+            raise
+    seconds = dict.fromkeys(stage.seconds, 0.0)
+    for _, sec in done:
+        for key, v in sec.items():
+            seconds[key] += v
+    return stage.plan, [f for part, _ in done for f in part], seconds
+
+
+# ---------------------------------------------------------------------------
+# stage 2: rows
+
+
+def _mark_row(buf: np.ndarray, A: int, Bmax: int, spf: np.ndarray, roots, mods, cols):
+    """Mark the stripe A in buf (2 Bmax + 1 bytes): True at B + Bmax where
+    some p <= pmax has p^2 | Delta(A, B).  roots, mods: its stripes of
+    columns; cols: its hit columns."""
+    if A % 3 == 0:
+        buf[:] = True  # 9 | Delta, and Delta = 0 needs (A, B) = (-3t^2, +-2t^3)
+        return
+    buf[:] = False
+    buf[Bmax % 2 :: 2] = True  # B even <=> 4 | Delta
+    n = abs(A)
+    while n > 1:
+        p = int(spf[n])
+        n //= p
+        if p >= 5:
+            buf[Bmax % p :: p] = True  # p | A: p^2 | Delta iff p | B
+    for root, m in zip(roots, mods):
+        buf[(root + Bmax) % m :: m] = True
+    buf[cols] = True
+
+
+def _marked_rows(As: np.ndarray, Bmax: int, plan: _Plan, found: list[_Found], deadline: Deadline):
+    """Stage 2: yields (i, buf) for each stripe As[i] with buf marked by
+    `_mark_row`.  The one buffer is reused: read it before the next step."""
+    L = 2 * Bmax + 1
+    hits = np.sort(np.concatenate([f.hits for f in found] + [_NONE]))
+    hb = np.searchsorted(hits, np.arange(As.size + 1) * L).tolist()
+    rows = np.concatenate([f.rows for f in found] + [_NONE])
+    order = np.argsort(rows, kind="stable")
+    roots = np.concatenate([f.roots for f in found] + [_NONE])[order]
+    mods = np.concatenate([f.mods for f in found] + [_NONE])[order]
+    sb = np.searchsorted(rows[order], np.arange(As.size + 1)).tolist()
+    buf = np.empty(L, dtype=bool)
+    for i, A in enumerate(As.tolist()):
+        if i % 256 == 0:
+            deadline.check()
+        cols = hits[hb[i] : hb[i + 1]] - i * L
+        lo, hi = sb[i], sb[i + 1]
+        _mark_row(buf, A, Bmax, plan.spf, roots[lo:hi].tolist(), mods[lo:hi].tolist(), cols)
+        yield i, buf
+
+
+def _mark_rows(As, Bmax: int, pmax: int) -> np.ndarray:
+    """The marked stripes As (distinct A) as one (len(As), 2 Bmax + 1)
+    matrix, through both stages; the tables cover only these |A|."""
+    As = np.asarray(As, dtype=np.int64)
+    deadline = Deadline()
+    plan, found, _ = _find_roots(As, Bmax, pmax, 1, deadline)
+    out = np.empty((As.size, 2 * Bmax + 1), dtype=bool)
+    for i, buf in _marked_rows(As, Bmax, plan, found, deadline):
+        out[i] = buf
+    return out
 
 
 def _check_int64_headroom(Amax: int, pmax: int):
-    """The kernel's int64 intermediates are below max(p^2, 27 p^2 + 4 |A|^3)
-    (products of two residues mod p, and f(r) in the Hensel step)."""
+    """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3:
+
+      * residues mod p are below p <= pmax, so products of two of them,
+        n rho(n) (n <= Amax <= pmax) and the lifted roots r + p k are
+        below pmax^2;
+      * the Hensel step's 27 r^2 + 4 A^3 (r < p) is below
+        27 pmax^2 + 4 Amax^3 in absolute value;
+      * the p >= L check's 27 b^2 + 4 A^3 (b <= Bmax) is at most
+        Delta_max <= pmax^2 + 2 pmax, and hit indices stripe * L + column
+        are below (2 Amax + 1)(2 Bmax + 1) <= Delta_max."""
     if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
         raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
 
@@ -364,59 +687,63 @@ def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
     return int(math.ceil(z * cfg.X**4)), int(math.ceil(z * cfg.X**6))
 
 
-def _run_count(cfg: CountConfig) -> CountResult:
+def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
     t0 = time.perf_counter()
+    deadline = deadline or Deadline()
     Amax, Bmax = _box_bounds(cfg)
     dmax = 4 * Amax**3 + 27 * Bmax**2
     pmax = math.isqrt(dmax)
     _check_int64_headroom(Amax, pmax)
-    chunks = []
-    lo = -Amax
-    while lo <= Amax:
-        hi = min(lo + cfg.chunk_size, Amax + 1)
-        chunks.append((lo, hi))
-        lo = hi
-    args = (min(cfg.chunk_size, 2 * Amax + 1), Bmax, pmax, cfg.X, cfg.mode)
-    workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=args
-        ) as pool:
-            parts = list(pool.map(_pool_chunk, chunks))
-    else:
-        sieve = _StripeSieve(*args)
-        parts = [sieve.count(lo, hi) for lo, hi in chunks]
-    stripes = [row for part in parts for row in part]
-    stripes.sort(key=lambda row: row[0])
+    As = np.arange(-Amax, Amax + 1, dtype=np.int64)
+    plan, found, seconds = _find_roots(As, Bmax, pmax, cfg.threads, deadline)
+    t1 = time.perf_counter()
+    w = gaussian_weight()
+    Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
+    X, mode = cfg.X, cfg.mode
+    stripes = []
+    for i, marked in _marked_rows(As, Bmax, plan, found, deadline):
+        A = int(As[i])
+        surv = Bs[~marked]
+        cnt = int(surv.size)
+        bsum = int(surv.sum()) if cnt else 0
+        b2 = int(surv @ surv) % (2**61 - 1)  # sum B^2 <= L Bmax^2 < 2^63
+        if mode == "smoothed":
+            wsum = float(w.value(A / X**4) * np.sum(w.value(surv / X**6))) if cnt else 0.0
+            stripes.append((A, cnt, bsum, b2, wsum))
+        else:
+            stripes.append((A, cnt, bsum, b2))
+    seconds["rows"] = time.perf_counter() - t1
     # B -> -B fixes Delta, so the surviving B of every stripe sum to 0
     for row in stripes:
         if row[2]:
             raise RuntimeError(f"stripe A = {row[0]}: surviving B sum to {row[2]}, not 0")
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()
-    seconds = time.perf_counter() - t0
+    seconds_total = time.perf_counter() - t0
     if cfg.mode == "exact":
         total = sum(row[1] for row in stripes)
         return CountResult(
-            cfg.X, cfg.mode, total, None, seconds, len(stripes), digest, tuple(stripes)
+            cfg.X, cfg.mode, total, None, seconds_total, len(stripes), digest,
+            tuple(stripes), seconds,
         )
     weighted = float(np.sum(np.array([row[4] for row in stripes])))
     return CountResult(
-        cfg.X, cfg.mode, None, weighted, seconds, len(stripes), digest, tuple(stripes)
+        cfg.X, cfg.mode, None, weighted, seconds_total, len(stripes), digest,
+        tuple(stripes), seconds,
     )
 
 
-def exact_count(cfg: CountConfig) -> CountResult:
+def exact_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
     """Exact number of box pairs with Delta nonzero and square-free."""
     if cfg.mode != "exact":
         raise ValueError("exact_count needs mode='exact'")
-    return _run_count(cfg)
+    return _run_count(cfg, deadline)
 
 
-def smoothed_count(cfg: CountConfig) -> CountResult:
+def smoothed_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
     """Gaussian-weighted sum of mu^2(Delta) over the truncated box."""
     if cfg.mode != "smoothed":
         raise ValueError("smoothed_count needs mode='smoothed'")
-    return _run_count(cfg)
+    return _run_count(cfg, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +928,13 @@ def compare_main_term(
     prime_bound: int = 10**5,
 ) -> list[MainTermRow]:
     """count (or weighted sum) against the main term 4 C X^10 (C X^10 smoothed)."""
+    deadline = Deadline()  # one budget for the whole list
     const = euler_product(1, prime_bound)
     lead = 4.0 if mode == "exact" else 1.0
     rows = []
     for X in X_list:
         cfg = CountConfig(X=X, mode=mode, threads=threads)
-        res = exact_count(cfg) if mode == "exact" else smoothed_count(cfg)
+        res = (exact_count if mode == "exact" else smoothed_count)(cfg, deadline)
         val = float(res.count if mode == "exact" else res.weighted)
         main_lo = lead * const.lo * X**10
         main_hi = lead * const.hi * X**10

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import arith, characters, density, expsum, oscint, sieve
+from .deadline import Deadline
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,6 @@ class SuiteReport:
             if not c.ok:
                 return c
         return None
-
-
-class TimeBudgetExceeded(RuntimeError):
-    pass
-
-
-class Deadline:
-    """Global runtime guard driven by DELTASIEVE_MAX_SECONDS."""
-
-    def __init__(self):
-        budget = os.environ.get("DELTASIEVE_MAX_SECONDS")
-        self.t0 = time.monotonic()
-        self.budget = float(budget) if budget else None
-
-    def check(self):
-        if self.budget is not None and time.monotonic() - self.t0 > self.budget:
-            raise TimeBudgetExceeded(
-                f"DELTASIEVE_MAX_SECONDS={self.budget} exceeded"
-            )
 
 
 def _tol(modulus: float) -> float:
@@ -837,12 +818,9 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
         )
     )
 
-    # 16-row chunks split the 163 rows of X=3 into 11, so the merge across
-    # workers is exercised
-    runs = [
-        sieve.exact_count(sieve.CountConfig(X=3, threads=t, chunk_size=16))
-        for t in (1, 4, 16)
-    ]
+    # X=3 has two prime blocks (p < L = 1459 and p >= L), so with two or
+    # more CPUs the merge of stage-1 hits across workers is exercised
+    runs = [sieve.exact_count(sieve.CountConfig(X=3, threads=t)) for t in (1, 4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count
         and runs[0].stripe_digest == runs[1].stripe_digest == runs[2].stripe_digest

@@ -134,6 +134,13 @@ def test_time_budget_guard():
     assert "DELTASIEVE_MAX_SECONDS" in r.stderr
 
 
+def test_count_time_budget_guard():
+    r = run_cli(["count", "--X", "5"], env={**os.environ, "DELTASIEVE_MAX_SECONDS": "0.0"})
+    assert r.returncode == 1
+    assert "aborted:" in r.stderr and "DELTASIEVE_MAX_SECONDS" in r.stderr
+    assert r.stdout == ""
+
+
 def test_verify_failure_path(monkeypatch, capsys):
     from deltasieve import suites
 

@@ -52,6 +52,14 @@ def test_per_prime_identity():
         assert dn.per_prime_identity(p)
 
 
+def test_euler_product_segmented_walk(monkeypatch):
+    """The walk over the prime bitmap gives the same result in segments of
+    any width, many segments included."""
+    want = [dn.euler_product(t, 10**5) for t in (1, 2)]
+    monkeypatch.setattr(dn, "_SEGMENT", 1000)
+    assert [dn.euler_product(t, 10**5) for t in (1, 2)] == want
+
+
 def test_euler_product_intervals():
     e1 = dn.euler_product(1, 10**4)
     e2 = dn.euler_product(2, 10**4)

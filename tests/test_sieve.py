@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from deltasieve import arith
 from deltasieve import sieve as sv
+from deltasieve.deadline import TimeBudgetExceeded
 
 # X = 8 (MAX_EXACT_X) is the largest box: primes up to its sqrt(Delta_max)
 AMAX_8 = 8**4
@@ -37,7 +39,6 @@ def test_config_guards():
         dict(X=0.0),
         dict(X=1.0, threads=0),
         dict(X=1.0, threads=-3),
-        dict(X=1.0, chunk_size=0),
     ):
         with pytest.raises(ValueError):
             sv.CountConfig(**bad)
@@ -50,7 +51,7 @@ def test_int64_headroom_guard():
 
 
 def test_pool_is_bounded(monkeypatch):
-    """threads = 10**6 asks for at most min(cpu_count, chunks) workers, and
+    """threads = 10**6 asks for min(cpu_count, prime blocks) workers, and
     one worker means no pool."""
     sizes = []
 
@@ -65,18 +66,40 @@ def test_pool_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
 
     monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sv, "_worker_sieve", None)
+    monkeypatch.setattr(sv, "_worker_stage", None)
+    monkeypatch.setattr(sv, "_worker_deadline", None)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 4)
     want = sv.exact_count(sv.CountConfig(X=2))
-    for chunk_size, expect in ((4, [4]), (12, [3]), (33, [])):  # 9, 3, 1 chunks
+    # X = 2: 11 table columns (|A| <= 16, 3 not dividing A); 29 primes
+    # 5 <= p < L = 129 and 40 primes L <= p <= pmax = 356, blocked apart
+    for table, blocks, expect in ((11, 69, [4]), (11 * 29, 3, [3]), (11 * 40, 2, [2])):
+        monkeypatch.setattr(sv, "_TABLE", table)
+        stage = sv._RootStage(np.arange(-16, 17), 64)
+        assert len(stage.blocks(356)) == blocks
         sizes.clear()
-        got = sv.exact_count(sv.CountConfig(X=2, threads=10**6, chunk_size=chunk_size))
+        got = sv.exact_count(sv.CountConfig(X=2, threads=10**6))
         assert sizes == expect
         assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
+    sizes.clear()
+    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # one block: p = 5
+    assert sizes == []
+
+
+def test_deadline_stops_count(monkeypatch):
+    """An expired budget stops a count in one process and in a pool (whose
+    workers raise it from their first prime block), and a list of counts."""
+    monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
+    for threads in (1, 2):
+        with pytest.raises(TimeBudgetExceeded):
+            sv.exact_count(sv.CountConfig(X=3, threads=threads))
+    with pytest.raises(TimeBudgetExceeded):
+        sv.compare_main_term([1, 2], prime_bound=10**3)
 
 
 def test_exact_count_x1():
@@ -103,7 +126,7 @@ def test_mark_fills_three_divides_A_rows():
     Amax, Bmax = sv._box_bounds(cfg)
     pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    marked = sv._StripeSieve(As.size, Bmax, pmax, cfg.X, cfg.mode).mark(As)
+    marked = sv._mark_rows(As, Bmax, pmax)
     assert marked[As % 3 == 0].all()
 
 
@@ -164,17 +187,15 @@ def test_naive_squarefree_count_cap(monkeypatch):
 
 def test_stripe_B_sum_invariant(monkeypatch):
     """B -> -B fixes Delta, so every stripe's survivors sum to 0; a count
-    whose mark breaks the symmetry is refused, naming the stripe."""
-    mark = sv._StripeSieve.mark
+    whose stage 2 breaks the symmetry is refused, naming the stripe."""
+    mark_row = sv._mark_row
 
-    def flip_one(self, As):
-        marked = mark(self, As)
-        rows = np.flatnonzero(As == 1)
-        if rows.size:
-            marked[rows[0], self.Bmax + 1] ^= True  # (A, B) = (1, 1)
-        return marked
+    def flip_one(buf, A, Bmax, *rest):
+        mark_row(buf, A, Bmax, *rest)
+        if A == 1:
+            buf[Bmax + 1] ^= True  # (A, B) = (1, 1)
 
-    monkeypatch.setattr(sv._StripeSieve, "mark", flip_one)
+    monkeypatch.setattr(sv, "_mark_row", flip_one)
     with pytest.raises(RuntimeError, match="stripe A = 1:"):
         sv.exact_count(sv.CountConfig(X=2))
     with pytest.raises(RuntimeError, match="stripe A = 1:"):
@@ -289,6 +310,47 @@ def test_tonelli_steps_bounded():
         sv._tonelli_steps(np.array([1]), np.array([2]), sv._Primes.of([13]))
 
 
+def test_least_nonresidue_and_small_inverses():
+    ps = np.array(PRIMES_8[:2000] + PRIMES_8[-2000:], dtype=np.int64)
+    z = sv._least_nonresidue(ps)
+    for p, zz in zip(ps.tolist(), z.tolist()):
+        assert [c for c in range(2, zz + 1) if pow(c, (p - 1) // 2, p) == p - 1] == [zz], p
+    assert (sv._inverse_small(z, ps) * z % ps == 1).all()
+    assert (sv._inverse_small(np.full_like(ps, 27), ps) * 27 % ps == 1).all()
+
+
+@kernel_settings
+@given(
+    st.lists(prime, min_size=1, max_size=8),
+    st.lists(st.integers(1, AMAX_8), min_size=1, max_size=16),
+)
+def test_twisted_root_table(ps, ns):
+    """rho(n)^2 = n z^f with f the Legendre bit of n, rho(n) = 0 iff p | n,
+    and inv = n^-1, over the plan's closure of ns; and the cusp root is a
+    root mod p of 27 B^2 + 4 A^3 exactly when -3A is a nonzero square."""
+    pr = sv._Primes.of(ps)
+    plan = sv._Plan.of(ns, range(len(ns)))
+    assert set(ns) <= set(plan.n.tolist())
+    tab = sv._root_table(pr, plan, with_inv=True)
+    cusp = [sv._cusp_roots(tab, pr, s) for s in (0, 1)]
+    for i, p in enumerate(ps):
+        z = int(pr.z[i])
+        assert pow(z, (p - 1) // 2, p) == p - 1
+        for c, n in enumerate(plan.n.tolist()):
+            rho, f = int(tab.rho[i, c]), bool(tab.f[i, c])
+            if n % p == 0:
+                assert rho == 0
+                continue
+            assert f == (pow(n, (p - 1) // 2, p) == p - 1)
+            assert rho * rho % p == n * z**f % p
+            assert int(tab.inv[i, c]) * n % p == 1
+            for s, (B0, ok) in enumerate(cusp):
+                A = n * (1 - 2 * s)
+                assert bool(ok[i, c]) == (pow(-3 * A, (p - 1) // 2, p) == 1), (p, A)
+                if ok[i, c]:
+                    assert (27 * int(B0[i, c]) ** 2 + 4 * A**3) % p == 0
+
+
 @kernel_settings
 @given(st.lists(st.tuples(prime, st.integers(0, PMAX_8), st.integers(0, 2 * PMAX_8)), max_size=16))
 def test_powmod_matches_pow(rows):
@@ -328,19 +390,21 @@ def test_lift_and_stripe_roots_match_arith(pairs):
         return
     j, p, A, r = (np.array(col, dtype=np.int64) for col in zip(*lifts))
     xinv = np.array([pow(r0 * r0, -1, p0) for _, p0, _, r0 in lifts], dtype=np.int64)
-    R = sv._lift_root(r, xinv, A * A * A, sv._Primes.of(p))
+    pr = sv._Primes.of(p)
+    R = sv._lift_root(r, xinv, A * A * A, pr.p, pr.inv54)
     for jj, root, r0, p0 in zip(j.tolist(), R.tolist(), r.tolist(), p.tolist()):
         assert root % p0 == r0 and root in want[jj]
 
 
-@pytest.mark.parametrize("X", [5, 6])
+@pytest.mark.parametrize("X", [5, 6, 7, 8])
 def test_mark_sampled_pairs_match_squarefree(X):
     """Completeness past the oracle's X = 4, in both directions: on seeded
     rows A, a marked cell has a square factor and a survivor is square-free,
     decided by factorizing Delta.  Per row, 25 B are uniform and up to 25
     are roots mod p^2 for primes sqrt(2 Bmax + 1) <= p <= 20 sqrt(2 Bmax + 1):
     the kernel marks one cell per such root, and uniform B almost never
-    meet one."""
+    meet one.  Both stages run on the sampled rows alone, so their tables
+    cover only those |A| and their factors."""
     cfg = sv.CountConfig(X=X)
     Amax, Bmax = sv._box_bounds(cfg)
     pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
@@ -348,7 +412,7 @@ def test_mark_sampled_pairs_match_squarefree(X):
     big = [p for p in arith.primes_up_to(20 * math.isqrt(L)) if p * p >= L]
     rng = np.random.default_rng(X)
     As = rng.choice([A for A in range(-Amax, Amax + 1) if A % 3], 4, replace=False)
-    marked = sv._StripeSieve(As.size, Bmax, pmax, cfg.X, cfg.mode).mark(As)
+    marked = sv._mark_rows(As, Bmax, pmax)
     seen = set()
     for row, A in enumerate(As.tolist()):
         hits = [
@@ -366,3 +430,32 @@ def test_mark_sampled_pairs_match_squarefree(X):
             assert marked[row, B + Bmax] != squarefree, (A, B)
             seen.add(squarefree)
     assert seen == {True, False}
+
+
+def test_large_prime_hits_match_delta_grid():
+    """Stage 1's p >= L path (`_RootStage._check`) against the Delta grid.
+    In a count such hits are rare (none in the whole X = 4 box), so the
+    stripes here are |A| <= 100 with a short B range, Bmax = 60 (L = 121,
+    still above max |A| as in every box), where p^2 | Delta for some
+    L <= p <= sqrt(Delta_max) often: the hits of the blocks p >= L are
+    exactly those (A, B)."""
+    Amax, Bmax = 100, 60
+    L = 2 * Bmax + 1
+    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
+    As = np.array([A for A in range(-Amax, Amax + 1) if A % 3])
+    stage = sv._RootStage(As, Bmax)
+    got = set()
+    for primes in stage.blocks(pmax):
+        if primes[0] >= L:
+            found = stage.run(primes)
+            assert found.rows.size == 0
+            got |= set(found.hits.tolist())
+    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
+    d = 4 * As[:, None] ** 3 + 27 * B * B
+    hit = np.zeros(d.shape, dtype=bool)
+    for p in arith.primes_up_to(pmax):
+        if p >= L:
+            hit |= d % (p * p) == 0
+    want = set(np.flatnonzero(hit).tolist())
+    assert len(want) >= 10  # 16 here
+    assert got == want

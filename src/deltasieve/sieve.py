@@ -94,9 +94,6 @@ class CountResult:
     nstripes: int
     stripe_digest: str
     stripe_summaries: tuple = field(repr=False, default=())
-    # seconds per stage: roots.table and roots.pairs summed over the
-    # processes of stage 1, rows for stage 2
-    stage_seconds: dict = field(repr=False, compare=False, default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +126,9 @@ class _Primes(NamedTuple):
         z = _least_nonresidue(p)
         zh = _powmod(z, h, p)
         inv2 = (p + 1) // 2
-        inv27 = _inverse_small(np.full_like(p, 27), p)
+        inv27, zinv = _powmod(np.stack([np.full_like(p, 27), z], axis=1), p - 2, p).T
         return cls(
-            p, h, s, z, zh, zh * zh % p * z % p, _inverse_small(z, p),
+            p, h, s, z, zh, zh * zh % p * z % p, zinv,
             6 * inv27 % p, (p - 27) * inv2 % p * inv2 % p, inv27 * inv2 % p,
         )
 
@@ -161,17 +158,6 @@ def _least_nonresidue(p: np.ndarray) -> np.ndarray:
         if not todo.size:
             break
     return z
-
-
-def _inverse_small(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^-1 mod p for small a >= 2 prime to p: (1 + k p) / a, with
-    k = -p^-1 mod a from a table of the inverses mod each distinct a."""
-    k = np.empty_like(p)
-    for m in np.flatnonzero(np.bincount(a)).tolist():
-        sel = np.flatnonzero(a == m)
-        table = np.array([pow(r, -1, m) if math.gcd(r, m) == 1 else 0 for r in range(m)])
-        k[sel] = -table[p[sel] % m] % m
-    return (1 + k * p) // a
 
 
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -495,7 +481,6 @@ class _RootStage:
         live = np.flatnonzero(As % 3 != 0)
         self.plan = _Plan.of(As[live], live)
         self.Bmax, self.L = Bmax, 2 * Bmax + 1
-        self.seconds = {"roots.table": 0.0, "roots.pairs": 0.0}
 
     def blocks(self, pmax: int) -> list[np.ndarray]:
         """The primes 5 <= p <= pmax in blocks: those p < L (lifted) apart
@@ -514,11 +499,9 @@ class _RootStage:
         ]
 
     def run(self, primes: np.ndarray) -> _Found:
-        t0 = time.perf_counter()
         pr = _Primes.of(primes)
         lift = bool(primes[0] < self.L)
         tab = _root_table(pr, self.plan, with_inv=lift)
-        t1 = time.perf_counter()
         parts = []
         for s in (0, 1):
             B0, ok = _cusp_roots(tab, pr, s)
@@ -527,13 +510,12 @@ class _RootStage:
             i, c = np.divmod(k, B0.shape[1])
             B0 = B0.ravel()[k]
             parts.append(self._lift(tab, pr, s, i, c, B0) if lift else self._check(pr, s, i, c, B0))
-        self.seconds["roots.table"] += t1 - t0
-        self.seconds["roots.pairs"] += time.perf_counter() - t1
         return _Found(*(np.concatenate(col) for col in zip(*parts)))
 
     def _check(self, pr: _Primes, s: int, i, c, B0) -> _Found:
         """p >= L: the one candidate +-b, b = min(B0, p - B0) <= Bmax of
-        each stripe, kept when p^2 | Delta."""
+        each stripe, kept when p^2 | Delta.  It skips the n^-1 table and
+        the Hensel step that `_lift` would spend on these blocks."""
         b = np.minimum(B0, pr.p[i] - B0)
         near = np.flatnonzero(b <= self.Bmax)
         i, c, b = i[near], c[near], b[near]
@@ -565,18 +547,16 @@ def _init_worker(As: np.ndarray, Bmax: int, deadline: Deadline):
     _worker_stage, _worker_deadline = _RootStage(As, Bmax), deadline
 
 
-def _pool_blocks(blocks: list[np.ndarray]) -> tuple[list[_Found], dict]:
+def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
     found = []
     for primes in blocks:
         _worker_deadline.check()
         found.append(_worker_stage.run(primes))
-    seconds = dict(_worker_stage.seconds)
-    _worker_stage.seconds = dict.fromkeys(seconds, 0.0)
-    return found, seconds
+    return found
 
 
 def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: Deadline):
-    """Stage 1 over all primes 5 <= p <= pmax: (plan, found, seconds).
+    """Stage 1 over all primes 5 <= p <= pmax: (plan, found).
     With more than one worker, each task is a share of the prime blocks,
     so no table is built twice; a deadline that expires in any process
     cancels the tasks not yet started."""
@@ -588,7 +568,7 @@ def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: De
         for primes in blocks:
             deadline.check()
             found.append(stage.run(primes))
-        return stage.plan, found, stage.seconds
+        return stage.plan, found
     ntasks = min(len(blocks), 4 * workers)
     tasks = [blocks[k::ntasks] for k in range(ntasks)]  # lift and p >= L blocks in each
     with ProcessPoolExecutor(
@@ -601,11 +581,7 @@ def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: De
             for fut in futures:
                 fut.cancel()
             raise
-    seconds = dict.fromkeys(stage.seconds, 0.0)
-    for _, sec in done:
-        for key, v in sec.items():
-            seconds[key] += v
-    return stage.plan, [f for part, _ in done for f in part], seconds
+    return stage.plan, [f for part in done for f in part]
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +634,7 @@ def _mark_rows(As, Bmax: int, pmax: int) -> np.ndarray:
     matrix, through both stages; the tables cover only these |A|."""
     As = np.asarray(As, dtype=np.int64)
     deadline = Deadline()
-    plan, found, _ = _find_roots(As, Bmax, pmax, 1, deadline)
+    plan, found = _find_roots(As, Bmax, pmax, 1, deadline)
     out = np.empty((As.size, 2 * Bmax + 1), dtype=bool)
     for i, buf in _marked_rows(As, Bmax, plan, found, deadline):
         out[i] = buf
@@ -695,8 +671,7 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
     pmax = math.isqrt(dmax)
     _check_int64_headroom(Amax, pmax)
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    plan, found, seconds = _find_roots(As, Bmax, pmax, cfg.threads, deadline)
-    t1 = time.perf_counter()
+    plan, found = _find_roots(As, Bmax, pmax, cfg.threads, deadline)
     w = gaussian_weight()
     Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
     X, mode = cfg.X, cfg.mode
@@ -712,23 +687,20 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
             stripes.append((A, cnt, bsum, b2, wsum))
         else:
             stripes.append((A, cnt, bsum, b2))
-    seconds["rows"] = time.perf_counter() - t1
     # B -> -B fixes Delta, so the surviving B of every stripe sum to 0
     for row in stripes:
         if row[2]:
             raise RuntimeError(f"stripe A = {row[0]}: surviving B sum to {row[2]}, not 0")
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()
-    seconds_total = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
     if cfg.mode == "exact":
         total = sum(row[1] for row in stripes)
         return CountResult(
-            cfg.X, cfg.mode, total, None, seconds_total, len(stripes), digest,
-            tuple(stripes), seconds,
+            cfg.X, cfg.mode, total, None, seconds, len(stripes), digest, tuple(stripes)
         )
     weighted = float(np.sum(np.array([row[4] for row in stripes])))
     return CountResult(
-        cfg.X, cfg.mode, None, weighted, seconds_total, len(stripes), digest,
-        tuple(stripes), seconds,
+        cfg.X, cfg.mode, None, weighted, seconds, len(stripes), digest, tuple(stripes)
     )
 
 

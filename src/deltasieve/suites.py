@@ -818,9 +818,9 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
         )
     )
 
-    # X=3 has two prime blocks (p < L = 1459 and p >= L), so with two or
-    # more CPUs the merge of stage-1 hits across workers is exercised
-    runs = [sieve.exact_count(sieve.CountConfig(X=3, threads=t)) for t in (1, 4, 16)]
+    # X=4 has 14 prime blocks, so with two or more CPUs the pool tasks hold
+    # several blocks each and the workers' stage-1 hits are merged
+    runs = [sieve.exact_count(sieve.CountConfig(X=4, threads=t)) for t in (1, 4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count
         and runs[0].stripe_digest == runs[1].stripe_digest == runs[2].stripe_digest

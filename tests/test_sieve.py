@@ -310,13 +310,14 @@ def test_tonelli_steps_bounded():
         sv._tonelli_steps(np.array([1]), np.array([2]), sv._Primes.of([13]))
 
 
-def test_least_nonresidue_and_small_inverses():
+def test_least_nonresidue():
     ps = np.array(PRIMES_8[:2000] + PRIMES_8[-2000:], dtype=np.int64)
     z = sv._least_nonresidue(ps)
     for p, zz in zip(ps.tolist(), z.tolist()):
         assert [c for c in range(2, zz + 1) if pow(c, (p - 1) // 2, p) == p - 1] == [zz], p
-    assert (sv._inverse_small(z, ps) * z % ps == 1).all()
-    assert (sv._inverse_small(np.full_like(ps, 27), ps) * 27 % ps == 1).all()
+    pr = sv._Primes.of(ps)
+    assert (pr.zinv * z % ps == 1).all()
+    assert (pr.inv54 * 54 % ps == 1).all()
 
 
 @kernel_settings

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .arith import (
     Factorization,
-    Residue,
     factorize,
     mobius,
     mod_inverse,
@@ -35,12 +34,10 @@ from .oscint import (
     param_map,
 )
 from .sieve import CountConfig, CountResult, delta_value, exact_count, smoothed_count
-from .weights import SchwartzWeight, gaussian_weight
 
 __all__ = [
     "__version__",
     "Factorization",
-    "Residue",
     "factorize",
     "mobius",
     "mod_inverse",
@@ -72,6 +69,4 @@ __all__ = [
     "delta_value",
     "exact_count",
     "smoothed_count",
-    "SchwartzWeight",
-    "gaussian_weight",
 ]

@@ -41,23 +41,6 @@ class NotInvertibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Residue:
-    """An integer reduced into [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __int__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
 class Factorization:
     """Canonical factorization of a nonzero integer.
 
@@ -71,10 +54,6 @@ class Factorization:
     def __post_init__(self):
         if self.n == 0:
             raise ValueError("0 has no factorization")
-
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
 
     @property
     def radical(self) -> int:
@@ -104,12 +83,6 @@ class Factorization:
         for p, e in self.factors:
             v *= (p - 1) * p ** (e - 1)
         return v
-
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
 
 
 def prime_sieve(n: int) -> np.ndarray:
@@ -240,33 +213,25 @@ def rad_and_square_part(n: int) -> tuple[int, int]:
     return f.radical, f.square_part
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime factors of |n| (0 for +-1)."""
-    if n == 0:
-        raise ValueError("omega undefined for 0")
-    if abs(n) == 1:
-        return 0
-    return factorize(n).omega
-
-
 def is_squarefree(n: int) -> bool:
     return mobius(n) != 0
 
 
-def mod_inverse(a: int, m: int) -> Residue:
-    """r with a*r = 1 (mod m); raises NotInvertibleError if gcd(a, m) > 1."""
+def mod_inverse(a: int, m: int) -> int:
+    """r in [0, m) with a*r = 1 (mod m); raises NotInvertibleError if
+    gcd(a, m) > 1."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if m == 1:
-        return Residue(0, 1)
+        return 0
     try:
-        return Residue(pow(a, -1, m), m)
+        return pow(a, -1, m)
     except ValueError as exc:
         raise NotInvertibleError(f"{a} is not invertible mod {m}") from exc
 
 
-def crt(residues: list[tuple[int, int]]) -> Residue:
-    """Combine pairwise-coprime congruences x = r_i (mod m_i)."""
+def crt(residues: list[tuple[int, int]]) -> int:
+    """x in [0, prod m_i) with x = r_i (mod m_i), for pairwise-coprime m_i."""
     x, m = 0, 1
     for r, mi in residues:
         g = math.gcd(m, mi)
@@ -276,7 +241,7 @@ def crt(residues: list[tuple[int, int]]) -> Residue:
         t = (r - x) * pow(m, -1, mi) % mi
         x += m * t
         m *= mi
-    return Residue(x % m, m)
+    return x % m
 
 
 def legendre_eps(a: int, p: int) -> tuple[int, complex]:
@@ -346,23 +311,8 @@ def _sqrt_unit(a: int, p: int) -> int | None:
     return r
 
 
-def tonelli_shanks(a: int, p: int) -> int:
-    """Smaller square root of a unit square a mod odd prime p.
-
-    Deterministic: the non-residue is the smallest positive one.
-    Raises ValueError when a is not a quadratic residue.
-    """
-    a %= p
-    if p == 2:
-        return a
-    r = _sqrt_unit(a, p) if a else None
-    if r is None:
-        raise ValueError(f"{a} is not a QR mod {p}")
-    return min(r, p - r)
-
-
-def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
-    """All x mod p**k with x*x = a (mod p**k), sorted; empty if none.
+def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[int]:
+    """All x in [0, p**k) with x*x = a (mod p**k), sorted; empty if none.
 
     p must be an odd prime.  Non-unit a is handled by splitting off the
     p-valuation; unit a by Tonelli-Shanks mod p plus Hensel lifting.
@@ -375,7 +325,7 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
     if a == 0:
         # x = 0 (mod p^ceil(k/2))
         step = p ** ((k + 1) // 2)
-        return [Residue(x, pk) for x in range(0, pk, step)]
+        return list(range(0, pk, step))
     v = 0
     aa = a
     while aa % p == 0:
@@ -395,47 +345,30 @@ def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[Residue]:
     half = p ** (v // 2)
     base = p ** kk
     # distinct and below p^k: y != base - y for odd p, and y0 + j base < half base
-    roots = sorted(half * (y0 + j * base) for y0 in (y, base - y) for j in range(half))
-    return [Residue(x, pk) for x in roots]
+    return sorted(half * (y0 + j * base) for y0 in (y, base - y) for j in range(half))
 
 
-def sqrt_mod(a: int, m: int) -> list[Residue]:
-    """All x mod m with x*x = a (mod m), for odd m, via factorization + CRT."""
+def sqrt_mod(a: int, m: int) -> list[int]:
+    """All x in [0, m) with x*x = a (mod m), sorted, for odd m, via
+    factorization + CRT."""
     if m < 1 or m % 2 == 0:
         raise ValueError("sqrt_mod needs odd m >= 1")
     if m == 1:
-        return [Residue(0, 1)]
-    parts = []
+        return [0]
+    roots, mm = [0], 1
     for p, e in factorize(m).factors:
+        pe = p**e
         rs = sqrt_mod_prime_power(a, p, e)
         if not rs:
             return []
-        parts.append([(r.value, p**e) for r in rs])
-    roots = [(0, 1)]
-    for part in parts:
-        roots = [
-            (crt([(x, mm), pr]).value, mm * pr[1]) for x, mm in roots for pr in part
-        ]
-    return [Residue(x, m) for x, _ in sorted(roots)]
+        roots = [crt([(x, mm), (r, pe)]) for x in roots for r in rs]
+        mm *= pe
+    return sorted(roots)
 
 
 def mobius_table(n: int) -> np.ndarray:
     """mu(0..n) as an int8 array (mu(0) = 0)."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    if n < 1:
-        return mu
-    prod = np.ones(n + 1, dtype=np.int64)
-    for p in primes_up_to(math.isqrt(n)):
-        mu[p * p :: p * p] = 0
-        mu[p::p] *= -1
-        prod[p::p] *= p
-    # a leftover cofactor > 1 is a single prime > sqrt(n)
-    idx = np.arange(n + 1, dtype=np.int64)
-    leftover = (prod != idx) & (mu != 0)
-    leftover[0] = False
-    mu[leftover] *= -1
-    return mu
+    return mobius_range(0, n + 1)
 
 
 def mobius_range(lo: int, hi: int) -> np.ndarray:
@@ -450,16 +383,11 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
         mu[(-lo) % p2 :: p2] = 0
         mu[(-lo) % p :: p] *= -1
         prod[(-lo) % p :: p] *= p
+    # a leftover cofactor > 1 is a single prime > sqrt(hi - 1)
     idx = np.arange(lo, hi, dtype=np.int64)
-    leftover = (prod != idx) & (mu != 0)
+    mu[(prod != idx) & (mu != 0)] *= -1
     if lo == 0:
         mu[0] = 0
-        leftover[0] = False
-        if n > 1:
-            leftover[1] = False
-    elif lo == 1:
-        leftover[0] = False
-    mu[leftover] *= -1
     return mu
 
 

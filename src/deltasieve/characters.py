@@ -284,11 +284,11 @@ class DecompositionResult:
     delta: float
 
 
-def _bucket_matrix(lo, hi, q1, r_mod, coprime_to):
-    """W[u, v] = sum of mu(n) over n in (lo, hi] with n = u (q1), n = v (r_mod),
+def _bucket_matrix(hi, q1, r_mod, coprime_to):
+    """W[u, v] = sum of mu(n) over n in [1, hi] with n = u (q1), n = v (r_mod),
     (n, coprime_to) = 1."""
-    n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    mu = _mu_upto(max(hi, 1))[lo + 1 : hi + 1].astype(np.float64)
+    n = np.arange(1, hi + 1, dtype=np.int64)
+    mu = _mu_upto(max(hi, 1))[1 : hi + 1].astype(np.float64)
     mu = mu * (np.gcd(n, coprime_to) == 1)
     W = np.zeros((q1, r_mod))
     np.add.at(W, (n % q1, n % r_mod), mu)
@@ -332,7 +332,7 @@ def decomposition_sweep(
     phi_q1 = euler_phi(q1)
 
     # direct sums, bucketed by (n mod q1, n mod r)
-    Wd = _bucket_matrix(0, s, q1, r, coprime_to)
+    Wd = _bucket_matrix(s, q1, r, coprime_to)
 
     # reconstructed inner sums, per divisor f of r
     per_f = []
@@ -343,7 +343,7 @@ def decomposition_sweep(
         chi1s = character_table(r1)
         chi1_tabs = np.array([c.table() for c in chi1s])
         taus = [tau(c) for c in chi1s]
-        Wf = _bucket_matrix(0, s // f, q1, r1, coprime_to * f)
+        Wf = _bucket_matrix(s // f, q1, r1, coprime_to * f)
         # S[i, i1] = sum_n1 mu(n1) chi_i(n1) conj(chi1_i1)(n1) [(n1, C f) = 1]
         S = np.empty((len(chis), len(chi1s)), dtype=complex)
         for i, ct in enumerate(chi_tabs):
@@ -386,9 +386,6 @@ class SjRow:
     w: float
     sum_abs: float
     ratio: float
-
-
-SJ_CSV_COLUMNS = ("q1", "s", "w", "sum_abs", "ratio")
 
 
 def sj_cancellation_scan(

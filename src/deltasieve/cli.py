@@ -35,7 +35,7 @@ from .density import (
     paper_balance,
 )
 from .deadline import TimeBudgetExceeded
-from .sieve import MAIN_TERM_CSV_COLUMNS, CountConfig, compare_main_term
+from .sieve import CountConfig, compare_main_term
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -64,13 +64,15 @@ def _header(args: argparse.Namespace):
     )
 
 
-def _rows_to_csv(columns, rows) -> str:
+def _rows_to_csv(rows) -> str:
+    """CSV of nonempty dataclass or dict rows; the header is the first
+    row's fields or keys, in order."""
+    dicts = [asdict(r) if is_dataclass(r) else r for r in rows]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for r in rows:
-        d = asdict(r) if is_dataclass(r) else r
-        w.writerow([d[c] for c in columns])
+    w.writerow(list(dicts[0]))
+    for d in dicts:
+        w.writerow(list(d.values()))
     return buf.getvalue()
 
 
@@ -78,21 +80,12 @@ def _emit_artifacts(reports, out: str | None):
     """Write scan artifacts (omega/station/sj/main-term rows) as side CSVs."""
     if not out:
         return
-    from .characters import SJ_CSV_COLUMNS
-    from .oscint import OMEGA_CSV_COLUMNS, STATION_CSV_COLUMNS
-
-    columns = {
-        "omega_rows": OMEGA_CSV_COLUMNS,
-        "station_rows": STATION_CSV_COLUMNS,
-        "sj_rows": SJ_CSV_COLUMNS,
-        "main_term_rows": MAIN_TERM_CSV_COLUMNS,
-    }
     for rep in reports:
         for name, rows in rep.artifacts.items():
-            if name in columns and rows:
+            if name.endswith("_rows") and rows:
                 path = f"{out}.{rep.suite}.{name}.csv"
                 with open(path, "w") as fh:
-                    fh.write(_rows_to_csv(columns[name], rows))
+                    fh.write(_rows_to_csv(rows))
 
 
 def _cmd_verify(args) -> int:
@@ -145,7 +138,7 @@ def _cmd_verify(args) -> int:
             for r in reports
             for c in r.checks
         ]
-        _emit(_rows_to_csv(("suite", "name", "ok", "deviation", "detail"), rows), args.out)
+        _emit(_rows_to_csv(rows), args.out)
         _emit_artifacts(reports, args.out)
     else:
         _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
@@ -195,7 +188,7 @@ def _cmd_count(args) -> int:
         payload = [asdict(r) for r in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(_rows_to_csv(MAIN_TERM_CSV_COLUMNS, rows), args.out)
+        _emit(_rows_to_csv(rows), args.out)
     return EXIT_OK
 
 

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_squarefree, legendre_eps
-from .weights import gaussian_weight
+from .arith import euler_phi, factorize, is_squarefree, legendre_eps, sqrt_mod
+from .weights import decay_radius, gauss
 
 MAX_BRUTE_MODULUS = 10**7
 
@@ -528,8 +528,6 @@ def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpSumValue:
         raise ValueError("mtilde^2 exceeds the 10^6 cap")
     if math.gcd(am, 6) != 1 or math.gcd(k2 * q * l1, am) != 1:
         raise ValueError("need (mtilde, 6) = 1 and (k2 q l1, mtilde) = 1")
-    from .arith import sqrt_mod
-
     inv3 = pow(3, -1, am) if am > 1 else 0
     target = (-inv3 * u) % am
     roots = sqrt_mod(target, am)
@@ -537,8 +535,7 @@ def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpSumValue:
         return ExpSumValue(0j, 0.0, 0)
     invkq = pow(k2 * q, -1, mt2) if mt2 > 1 else 0
     total = 0j
-    for r in roots:
-        x1 = r.value
+    for x1 in roots:
         total += e_frac(Fraction(((x1**3 + u * x1) * invkq * l1) % mt2, mt2))
     val = am * total
     return ExpSumValue(val, am * _sum_error(len(roots)), am * len(roots))
@@ -569,14 +566,13 @@ class PoissonCheckResult:
 
 def poisson_selfdual_1d(s: float) -> PoissonCheckResult:
     """Classical Poisson identity sum Gamma(x/s) = s * sum Gammahat(s m)."""
-    w = gaussian_weight()
-    zmax = w.decay_radius(1e-18)
+    zmax = decay_radius(1e-18)
     nx = int(math.ceil(zmax * s)) + 1
     x = np.arange(-nx, nx + 1)
-    lhs = float(np.sum(w.value(x / s)))
+    lhs = float(np.sum(gauss(x / s)))
     nm = int(math.ceil(zmax / s)) + 1
     m = np.arange(-nm, nm + 1)
-    rhs = s * float(np.sum(w.fourier(s * m)))
+    rhs = s * float(np.sum(gauss(s * m)))
     return PoissonCheckResult(lhs, rhs, abs(lhs - rhs))
 
 
@@ -609,7 +605,6 @@ def poisson_second_check(
     A = k3**3 * h * d
     if math.gcd(l1, 6 * h * d) != 1:
         raise ValueError("(l1, 6hd) must be 1")
-    w = gaussian_weight()
     linv2 = pow(l1 * l1, -1, A) if A > 1 else 0
     if d > 1:
         li_d = linv2 % d
@@ -626,12 +621,12 @@ def poisson_second_check(
         theta = Fraction(linv2 * (k22 * n1**3 % A), A) if A > 1 else Fraction(0)
         return etab[n1 % d] * e_frac(theta)
 
-    zmax = w.decay_radius(1e-16)
+    zmax = decay_radius(1e-16)
     N = int(math.ceil(zmax * c1 / X**4)) + 1
     lhs = 0j
     for n1 in range(-N, N + 1):
         tw = Fraction(-(k22) * n1**3, A * l1 * l1)
-        lhs += w.fourier(X**4 * n1 / c1) * e_frac(tw) * pfun(n1)
+        lhs += gauss(X**4 * n1 / c1) * e_frac(tw) * pfun(n1)
 
     beta = (k2 * h * d) ** 2 * l1**4 / X**12
     v = np.arange(A, dtype=np.int64)
@@ -678,18 +673,17 @@ def poisson_check(
     """
     if X > 4:
         raise ValueError("X <= 4 for the two-sided check")
-    w = gaussian_weight()
     a, b, h, l = frame.a, frame.b, frame.h, frame.l
     k2, k3 = frame.k2, frame.k3
     l2 = l * l
-    zmax = w.decay_radius(cutoff)
+    zmax = decay_radius(cutoff)
 
     nx = int(math.ceil(zmax * X**6 / (k2 * h))) + 1
     ny = int(math.ceil(zmax * X**4 / (k3 * h))) + 1
     x = np.arange(-nx, nx + 1, dtype=np.int64)
     y = np.arange(-ny, ny + 1, dtype=np.int64)
-    wx = w.value(k2 * h * x / X**6)
-    wy = w.value(k3 * h * y / X**4)
+    wx = gauss(k2 * h * x / X**6)
+    wy = gauss(k3 * h * y / X**4)
     ux = np.gcd(np.abs(x) % l, l) == 1
     uy = np.gcd(np.abs(y) % l, l) == 1
     qx = (a**3 % l2) * ((x % l2) ** 2 % l2) % l2
@@ -702,8 +696,8 @@ def poisson_check(
     nn = int(math.ceil(zmax * k3 * h * l2 / X**4)) + 1
     ms = np.arange(-nm, nm + 1, dtype=np.int64)
     ns = np.arange(-nn, nn + 1, dtype=np.int64)
-    wm = w.fourier(X**6 * ms / (k2 * h * l2))
-    wn = w.fourier(X**4 * ns / (k3 * h * l2))
+    wm = gauss(X**6 * ms / (k2 * h * l2))
+    wn = gauss(X**4 * ns / (k3 * h * l2))
     cres = np.arange(l2, dtype=np.int64)
     fm = (wm[:, None] * _unit_circle(ms[:, None] * cres[None, :] % l2, l2)).sum(axis=0)
     fn = (wn[:, None] * _unit_circle(ns[:, None] * cres[None, :] % l2, l2)).sum(axis=0)

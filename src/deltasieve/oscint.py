@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .weights import gaussian_weight
-
-_WEIGHT = gaussian_weight()
+from .weights import gauss
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,14 @@ def G_eval(problem: OscillatoryProblem) -> complex:
     Both stationary points carry amplitude 2^(-1/2) (3|alpha| beta)^(-1/4)
     and opposite phases +-(1/8 - 2|alpha|^(3/2) / (3^(3/2) beta^(1/2))).
     """
-    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
+    alpha, beta = problem.alpha, problem.beta
     if alpha >= 0:
         return 0j
     z0 = stationary_point(alpha, beta)
     amp = 1.0 / (math.sqrt(2.0) * (3.0 * abs(alpha) * beta) ** 0.25)
     phi0 = 2.0 * abs(alpha) ** 1.5 / (3.0**1.5 * math.sqrt(beta))
     ph = np.exp(2j * np.pi * (0.125 - phi0))
-    return complex(amp * (w.fourier(z0) * ph + w.fourier(-z0) * np.conj(ph)))
+    return complex(amp * (gauss(z0) * ph + gauss(-z0) * np.conj(ph)))
 
 
 def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
@@ -125,7 +123,7 @@ def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
     amplitude is 2^(1/2) |alpha|^(5/4) / (3^(7/4) beta^(3/4) s) per
     stationary point, the first term with a minus sign).
     """
-    alpha, beta, w = problem.alpha, problem.beta, _WEIGHT
+    alpha, beta = problem.alpha, problem.beta
     if alpha >= 0:
         return 0j
     if s <= 0:
@@ -135,7 +133,7 @@ def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
     phi0 = 2.0 * abs(alpha) ** 1.5 / (3.0**1.5 * math.sqrt(beta))
     ph = np.exp(2j * np.pi * (0.125 - phi0))
     return complex(
-        2j * np.pi * amp * (-w.fourier(z0) * ph + w.fourier(-z0) * np.conj(ph))
+        2j * np.pi * amp * (-gauss(z0) * ph + gauss(-z0) * np.conj(ph))
     )
 
 
@@ -218,11 +216,6 @@ class OmegaRow:
     asserted: bool
 
 
-OMEGA_CSV_COLUMNS = (
-    "u", "s", "alpha", "beta", "K_cut", "I_re", "I_im", "G_re", "G_im",
-    "omega_abs", "envelope", "regime", "weight_arg", "asserted",
-)
-
 # Gaussian weight at z >= this is below ~4e-10; past it the |u| > K regime
 # is numerically dead and |Omega| < 1e-6 is asserted.
 DECAY_THRESHOLD = 2.6
@@ -293,11 +286,6 @@ class StationRow:
     err: float
     envelope: float
     ratio: float
-
-
-STATION_CSV_COLUMNS = (
-    "alpha", "beta", "I_re", "I_im", "G_re", "G_im", "err", "envelope", "ratio",
-)
 
 
 def default_station_grid() -> list[tuple[float, float]]:

@@ -20,7 +20,10 @@ A count runs in two stages.
 Stage 1 (roots) works on blocks of primes.  Per block it takes square
 roots mod p only of the primes l <= max |A| and of +-3, twisted so that
 every l has one: rho(l)^2 = l z^f, z the prime's fixed non-residue and
-f the Legendre bit (`_twisted_roots`).  The twisted roots of all the
+f the Legendre bit (`_twisted_roots`).  One Tonelli-Shanks pass serves
+both kinds: its squaring chain gives x^((p-1)/2 - 1), which is x^-1 for
+a square and -x^-1 for a non-residue, and a non-residue x is twisted to
+x z before the root is finished.  The twisted roots of all the
 needed n then follow by one product each along n = spf(n) (n / spf(n))
 (`_root_table`).  As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp
 root mod p is one product on that table (`_cusp_roots`).  A prime
@@ -52,7 +55,7 @@ import numpy as np
 from .arith import mobius_table, primes_up_to
 from .deadline import Deadline
 from .density import euler_product
-from .weights import gaussian_weight
+from .weights import decay_radius, gauss
 
 MAX_EXACT_X = 8.0
 SMOOTHED_CUTOFF = 1e-14
@@ -160,15 +163,10 @@ def _least_nonresidue(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def _column(v: np.ndarray, ndim: int) -> np.ndarray:
-    """v (one value per row) shaped to broadcast against an ndim-array."""
-    return v.reshape(v.shape + (1,) * (ndim - 1))
-
-
 def _powmod(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
     """base**exp % m, with one exponent exp[i] >= 0 and one modulus
     m[i] < 2^31 for each row base[i] of a 1-D or 2-D base."""
-    mm = _column(m, base.ndim)
+    mm = m.reshape(m.shape + (1,) * (base.ndim - 1))
     b = base % mm
     r = np.ones_like(b)
     for k in range(int(exp.max(initial=0)).bit_length()):
@@ -177,37 +175,6 @@ def _powmod(base: np.ndarray, exp: np.ndarray, m: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero((exp >> k) & 1)
         r[sel] = r[sel] * b[sel] % mm[sel]
     return r
-
-
-def _sqrt_mod_p_vec(x: np.ndarray, pr: _Primes, w: np.ndarray | None = None):
-    """Square roots mod p of x, where row i of x (1-D or 2-D, entries in
-    [0, p)) belongs to the prime pr.p[i].
-
-    Returns (i, r, xinv): the flat indices of the entries of x that are
-    nonzero squares, a root r of each, and x^-1 mod p.  Tonelli-Shanks:
-    w = x^h (computed unless given) gives r = w x and tt = x^q = w^2 x;
-    the Legendre symbol is tt^(2^(s-1)), and the same squaring chain gives
-    x^-1 = x^(p-2) = w^2 prod_{j<s} tt^(2^j), whose last factor is 1
-    for a square.
-    """
-    p = _column(pr.p, x.ndim)
-    if w is None:
-        w = _powmod(x, pr.h, pr.p)
-    xinv = w * w % p
-    tt = xinv * x % p
-    r = w * x % p
-    chain = tt.copy()
-    for j in range(int(pr.s.max(initial=1)) - 1):
-        sel = np.flatnonzero(pr.s > j + 1)
-        xinv[sel] = xinv[sel] * chain[sel] % p[sel]
-        chain[sel] = chain[sel] * chain[sel] % p[sel]
-    i = np.flatnonzero(chain.ravel() == 1)
-    r, xinv, tt = r.ravel()[i], xinv.ravel()[i], tt.ravel()[i]
-    act = np.flatnonzero(tt != 1)  # only where s >= 2
-    if act.size:
-        rows = i[act] // (x.size // pr.p.size)
-        r[act] = _tonelli_steps(r[act], tt[act], pr.take(rows))
-    return i, r, xinv
 
 
 def _tonelli_steps(r: np.ndarray, tt: np.ndarray, pr: _Primes) -> np.ndarray:
@@ -266,28 +233,30 @@ def _twisted_roots(x: np.ndarray, pr: _Primes):
     in [0, p)): (rho, f, inv) with f the Legendre bit (x a non-residue),
     rho^2 = x z^f and inv = x^-1 mod p.  All three are 0 where x = 0.
 
-    Squares come from one pass of `_sqrt_mod_p_vec`; the other nonzero
-    entries, times z, from a second pass over those alone, which reuses
-    x^h: (x z)^h = x^h z^h."""
-    rho = np.zeros_like(x)
-    inv = np.zeros_like(x)
-    f = np.zeros(x.shape, dtype=bool)
+    One Tonelli-Shanks pass: w = x^h gives tt = x^q = w^2 x, and the
+    squaring chain of tt gives both the Legendre symbol tt^(2^(s-1)) and
+    w^2 prod_{j<s-1} tt^(2^j) = x^((p-1)/2 - 1), which is x^-1 for a
+    square and -x^-1 for a non-residue.  A non-residue is then twisted in
+    place to x z, with (x z)^h = w z^h and (x z)^q = tt z^q, and one run of
+    `_tonelli_steps` from r = w x finishes every entry."""
+    p = pr.p[:, None]
     w = _powmod(x, pr.h, pr.p)
-    i, r, xinv = _sqrt_mod_p_vec(x, pr, w)
-    rho.flat[i] = r
-    inv.flat[i] = xinv
-    rest = (x != 0).ravel()
-    rest[i] = False
-    rest = np.flatnonzero(rest)
-    rows = rest // x.shape[1]
-    z, p = pr.z[rows], pr.p[rows]
-    wz = w.flat[rest] * pr.zh[rows] % p
-    j, r, xinv = _sqrt_mod_p_vec(x.flat[rest] * z % p, pr.take(rows), wz)
-    if j.size != rest.size:
-        raise RuntimeError("twisted roots: x z is not a square for a non-residue x")
-    rho.flat[rest] = r
-    inv.flat[rest] = xinv * z % p
-    f.flat[rest] = True
+    inv = w * w % p
+    tt = inv * x % p
+    chain = tt.copy()
+    for j in range(int(pr.s.max(initial=1)) - 1):
+        sel = np.flatnonzero(pr.s > j + 1)
+        inv[sel] = inv[sel] * chain[sel] % p[sel]
+        chain[sel] = chain[sel] * chain[sel] % p[sel]
+    f = chain == p - 1
+    inv = np.where(f, p - inv, inv)
+    x = np.where(f, x * pr.z[:, None] % p, x)
+    w = np.where(f, w * pr.zh[:, None] % p, w)
+    tt = np.where(f, tt * pr.zq[:, None] % p, tt)
+    rho = w * x % p
+    k = np.flatnonzero((tt != 1) & (x != 0))  # only where s >= 2
+    if k.size:
+        rho.flat[k] = _tonelli_steps(rho.flat[k], tt.flat[k], pr.take(k // x.shape[1]))
     return rho, f, inv
 
 
@@ -659,7 +628,7 @@ def _check_int64_headroom(Amax: int, pmax: int):
 def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
     if cfg.mode == "exact":
         return int(math.floor(cfg.X**4)), int(math.floor(cfg.X**6))
-    z = gaussian_weight().decay_radius(SMOOTHED_CUTOFF)
+    z = decay_radius(SMOOTHED_CUTOFF)
     return int(math.ceil(z * cfg.X**4)), int(math.ceil(z * cfg.X**6))
 
 
@@ -672,7 +641,6 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
     _check_int64_headroom(Amax, pmax)
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
     plan, found = _find_roots(As, Bmax, pmax, cfg.threads, deadline)
-    w = gaussian_weight()
     Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
     X, mode = cfg.X, cfg.mode
     stripes = []
@@ -683,7 +651,7 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
         bsum = int(surv.sum()) if cnt else 0
         b2 = int(surv @ surv) % (2**61 - 1)  # sum B^2 <= L Bmax^2 < 2^63
         if mode == "smoothed":
-            wsum = float(w.value(A / X**4) * np.sum(w.value(surv / X**6))) if cnt else 0.0
+            wsum = float(gauss(A / X**4) * np.sum(gauss(surv / X**6))) if cnt else 0.0
             stripes.append((A, cnt, bsum, b2, wsum))
         else:
             stripes.append((A, cnt, bsum, b2))
@@ -797,20 +765,19 @@ def naive_count_tiny(X: float) -> int:
 
 def naive_weighted_sum(X: float) -> float:
     """Direct Gaussian-weighted oracle over the truncated box (value-bitmap mu^2)."""
-    w = gaussian_weight()
-    z = w.decay_radius(SMOOTHED_CUTOFF)
+    z = decay_radius(SMOOTHED_CUTOFF)
     Amax, Bmax = int(math.ceil(z * X**4)), int(math.ceil(z * X**6))
     dmax = 4 * Amax**3 + 27 * Bmax**2
     sf = np.ones(dmax + 1, dtype=bool)
     for p in primes_up_to(math.isqrt(dmax)):
         sf[p * p :: p * p] = False
     B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
-    wB = w.value(B / X**6)
+    wB = gauss(B / X**6)
     total = 0.0
     for A in range(-Amax, Amax + 1):
         d = 4 * A**3 + 27 * B * B
         keep = (d != 0) & sf[np.abs(d)]
-        total += float(w.value(A / X**4) * np.sum(wB[keep]))
+        total += float(gauss(A / X**4) * np.sum(wB[keep]))
     return total
 
 
@@ -885,12 +852,6 @@ class MainTermRow:
     residual: float
     residual_over_X7: float
     seconds: float
-
-
-MAIN_TERM_CSV_COLUMNS = (
-    "X", "mode", "count_or_sum", "main_lo", "main_hi",
-    "residual", "residual_over_X7", "seconds",
-)
 
 
 def compare_main_term(

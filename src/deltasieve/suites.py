@@ -78,7 +78,7 @@ def suite_arith(seed: int = 0) -> SuiteReport:
         a = int(rng.integers(1, m))
         if math.gcd(a, m) != 1:
             continue
-        if a * arith.mod_inverse(a, m).value % m != 1:
+        if a * arith.mod_inverse(a, m) % m != 1:
             bad += 1
     add(CheckResult("mod_inverse_random_1e4", bad == 0, bad))
 
@@ -95,7 +95,7 @@ def suite_arith(seed: int = 0) -> SuiteReport:
             for x in range(m):
                 table.setdefault(x * x % m, set()).add(x)
             for a in range(m):
-                got = {r.value for r in arith.sqrt_mod_prime_power(a, p, kk)}
+                got = set(arith.sqrt_mod_prime_power(a, p, kk))
                 if got != table.get(a, set()):
                     bad += 1
     add(CheckResult("sqrt_mod_prime_power_exhaustive_2000", bad == 0, bad))
@@ -761,11 +761,11 @@ def suite_characters(seed: int = 0) -> SuiteReport:
 # sieve (acceptance 8, 9)
 
 
-def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) -> SuiteReport:
+def suite_sieve(seed: int = 0) -> SuiteReport:
     rep = SuiteReport("sieve", seed)
     add = rep.checks.append
     deadline = Deadline()
-    threads = threads or min(8, os.cpu_count() or 1)
+    threads = min(8, os.cpu_count() or 1)
 
     add(
         CheckResult(
@@ -852,7 +852,7 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
             continue
         p2 = p * p
         t = (-4 * A**3) * pow(27, -1, p2) % p2
-        want = {rt.value for rt in arith.sqrt_mod_prime_power(t, p, 2)}
+        want = set(arith.sqrt_mod_prime_power(t, p, 2))
         checked += len(want)
         draws.append((A, p, want))
     got = sieve.stripe_root_sets([d[0] for d in draws], [d[1] for d in draws])
@@ -862,42 +862,41 @@ def suite_sieve(seed: int = 0, deep: bool = True, threads: int | None = None) ->
     )
     add(CheckResult("stripe_root_soundness_1e5", bad == 0, bad, f"{checked} samples"))
 
-    if deep:
-        sm4 = sieve.smoothed_count(sieve.CountConfig(X=4, mode="smoothed", threads=threads))
-        rows = sieve.compare_main_term([3, 4, 5, 6], threads=threads)
-        rep.artifacts["main_term_rows"] = rows
-        main = {r.X: (r.main_lo + r.main_hi) / 2 for r in rows}  # 4 C X^10
-        rel = {r.X: abs(r.count_or_sum / main[r.X] - 1.0) for r in rows}
-        # smoothing shrinks the relative residual against the main term:
-        # C X^10 for the weighted sum, 4 C X^10 for the exact count
-        rel_sm = abs(sm4.weighted / (main[4] / 4) - 1.0)
-        add(
-            CheckResult(
-                "smoothed_X4_residual_below_exact",
-                rel_sm < rel[4],
-                rel_sm,
-                f"smoothed {rel_sm:.3e} < exact {rel[4]:.3e}",
-            )
+    sm4 = sieve.smoothed_count(sieve.CountConfig(X=4, mode="smoothed", threads=threads))
+    rows = sieve.compare_main_term([3, 4, 5, 6], threads=threads)
+    rep.artifacts["main_term_rows"] = rows
+    main = {r.X: (r.main_lo + r.main_hi) / 2 for r in rows}  # 4 C X^10
+    rel = {r.X: abs(r.count_or_sum / main[r.X] - 1.0) for r in rows}
+    # smoothing shrinks the relative residual against the main term:
+    # C X^10 for the weighted sum, 4 C X^10 for the exact count
+    rel_sm = abs(sm4.weighted / (main[4] / 4) - 1.0)
+    add(
+        CheckResult(
+            "smoothed_X4_residual_below_exact",
+            rel_sm < rel[4],
+            rel_sm,
+            f"smoothed {rel_sm:.3e} < exact {rel[4]:.3e}",
         )
-        r7 = {r.X: abs(r.residual_over_X7) for r in rows}
-        trend_ok = rel[6] < rel[3]
-        bound_ok = all(r7[X] <= 10 * r7[3] for X in (4, 5, 6))
-        add(
-            CheckResult(
-                "main_term_trend_X6_vs_X3",
-                trend_ok,
-                rel[6],
-                f"rel={ {k: round(v, 6) for k, v in rel.items()} }",
-            )
+    )
+    r7 = {r.X: abs(r.residual_over_X7) for r in rows}
+    trend_ok = rel[6] < rel[3]
+    bound_ok = all(r7[X] <= 10 * r7[3] for X in (4, 5, 6))
+    add(
+        CheckResult(
+            "main_term_trend_X6_vs_X3",
+            trend_ok,
+            rel[6],
+            f"rel={ {k: round(v, 6) for k, v in rel.items()} }",
         )
-        add(
-            CheckResult(
-                "residual_over_X7_bounded",
-                bound_ok,
-                max(r7.values()),
-                f"r/X^7={ {k: round(v, 4) for k, v in r7.items()} }",
-            )
+    )
+    add(
+        CheckResult(
+            "residual_over_X7_bounded",
+            bound_ok,
+            max(r7.values()),
+            f"r/X^7={ {k: round(v, 4) for k, v in r7.items()} }",
         )
+    )
     return rep
 
 

@@ -1,8 +1,7 @@
 """Session-wide suite reports.
 
 Every verification suite in `deltasieve.suites` runs at most once per test
-session, on first use, with seed 0 and the suite's default settings (the
-sieve suite includes its deep block).  The acceptance tests look their
+session, on first use, with seed 0.  The acceptance tests look their
 criteria up in these reports and gate every check they contain.
 """
 

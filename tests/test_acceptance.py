@@ -157,8 +157,8 @@ def test_criterion_09_main_term_trend(suite_run):
 
 
 def test_main_term_rows_pin_counts(suite_run):
-    """The deep block's own counts, with no extra count run: X = 3..6 equal
-    the reference counts (X = 6 is past the value-space oracle's X = 4)."""
+    """The sieve suite's main-term rows, with no extra count run: X = 3..6
+    equal the reference counts (X = 6 is past the value-space oracle's X = 4)."""
     rows = suite_run("sieve").report.artifacts["main_term_rows"]
     got = {r.X: r.count_or_sum for r in rows}
     assert got == {3: 66316, 4: 1178600, 5: 10954444, 6: 67796564}

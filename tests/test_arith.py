@@ -107,9 +107,9 @@ def test_mobius_range_segmented():
 
 
 def test_mod_inverse():
-    assert arith.mod_inverse(9, 25).value == 14
-    assert arith.mod_inverse(25, 9).value == 4
-    assert arith.mod_inverse(1, 17).value == 1
+    assert arith.mod_inverse(9, 25) == 14
+    assert arith.mod_inverse(25, 9) == 4
+    assert arith.mod_inverse(1, 17) == 1
     with pytest.raises(arith.NotInvertibleError):
         arith.mod_inverse(6, 9)
 
@@ -127,9 +127,9 @@ def test_legendre_eps():
 
 
 def test_sqrt_mod_prime_power_examples():
-    assert [r.value for r in arith.sqrt_mod_prime_power(2, 7, 1)] == [3, 4]
-    assert [r.value for r in arith.sqrt_mod_prime_power(0, 5, 2)] == [0, 5, 10, 15, 20]
-    assert [r.value for r in arith.sqrt_mod_prime_power(6, 5, 2)] == [9, 16]
+    assert arith.sqrt_mod_prime_power(2, 7, 1) == [3, 4]
+    assert arith.sqrt_mod_prime_power(0, 5, 2) == [0, 5, 10, 15, 20]
+    assert arith.sqrt_mod_prime_power(6, 5, 2) == [9, 16]
     assert arith.sqrt_mod_prime_power(2, 5, 1) == []
 
 
@@ -140,7 +140,7 @@ def test_sqrt_mod_prime_power_exhaustive(p, k):
     for x in range(m):
         expected.setdefault(x * x % m, set()).add(x)
     for a in range(m):
-        got = {r.value for r in arith.sqrt_mod_prime_power(a, p, k)}
+        got = set(arith.sqrt_mod_prime_power(a, p, k))
         assert got == expected.get(a, set())
 
 
@@ -183,17 +183,10 @@ def _root_count(a: int, p: int, k: int) -> int:
 def test_sqrt_mod_prime_power_large_primes(case):
     a, p, k = case
     pk = p**k
-    roots = [r.value for r in arith.sqrt_mod_prime_power(a, p, k)]
+    roots = arith.sqrt_mod_prime_power(a, p, k)
     assert all(r * r % pk == a for r in roots)
     assert roots == sorted(set(roots)) and all(0 <= r < pk for r in roots)
     assert len(roots) == _root_count(a, p, k)
-    u = a % p
-    if u and pow(u, (p - 1) // 2, p) == 1:
-        r = arith.tonelli_shanks(u, p)
-        assert r * r % p == u and r <= p - r
-    else:
-        with pytest.raises(ValueError):
-            arith.tonelli_shanks(u, p)
 
 
 def test_sqrt_mod_prime_power_rejects_non_primes():
@@ -205,8 +198,7 @@ def test_sqrt_mod_prime_power_rejects_non_primes():
 
 
 def test_sqrt_mod_composite():
-    roots = {r.value for r in arith.sqrt_mod(4, 45)}
-    assert roots == {x for x in range(45) if x * x % 45 == 4}
+    assert arith.sqrt_mod(4, 45) == [x for x in range(45) if x * x % 45 == 4]
     assert arith.sqrt_mod(2, 15) == []
 
 
@@ -220,7 +212,7 @@ def test_rad_and_square_part():
 
 def test_crt():
     r = arith.crt([(2, 3), (3, 5), (2, 7)])
-    assert r.value % 3 == 2 and r.value % 5 == 3 and r.value % 7 == 2
+    assert 0 <= r < 105 and r % 3 == 2 and r % 5 == 3 and r % 7 == 2
     with pytest.raises(ValueError):
         arith.crt([(1, 4), (2, 6)])
 

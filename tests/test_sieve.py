@@ -295,7 +295,7 @@ def test_stripe_digest_varies():
 
 
 def roots_mod(t: int, p: int, k: int) -> set[int]:
-    return {res.value for res in arith.sqrt_mod_prime_power(t, p, k)}
+    return set(arith.sqrt_mod_prime_power(t, p, k))
 
 
 def stripe_radicand(A: int, p: int, k: int) -> int:
@@ -364,15 +364,32 @@ def test_powmod_matches_pow(rows):
 
 
 @kernel_settings
-@given(st.lists(st.tuples(prime, st.integers(0, PMAX_8)), max_size=32))
-def test_sqrt_mod_p_matches_arith(pairs):
-    ps = [p for p, _ in pairs]
-    xs = [v % p for p, v in pairs]
-    i, r, xinv = sv._sqrt_mod_p_vec(np.array(xs, dtype=np.int64), sv._Primes.of(ps))
-    assert i.tolist() == [j for j, (x, p) in enumerate(zip(xs, ps)) if x and roots_mod(x, p, 1)]
-    for j, root, inv in zip(i.tolist(), r.tolist(), xinv.tolist()):
-        assert root in roots_mod(xs[j], ps[j], 1)
-        assert inv == pow(xs[j], -1, ps[j])
+@given(
+    st.lists(
+        st.tuples(prime, st.lists(st.integers(0, PMAX_8), min_size=4, max_size=4)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sqrt_mod_p_matches_arith(rows):
+    """`_twisted_roots` on arbitrary residues, 0 and non-residues included:
+    f is set exactly where the scalar path finds no root, rho^2 = x z^f,
+    inv x = 1, and all three are 0 at x = 0."""
+    ps = [p for p, _ in rows]
+    x = np.array([[v % p for v in vs] for p, vs in rows], dtype=np.int64)
+    x[0, 0] = 0
+    pr = sv._Primes.of(ps)
+    rho, f, inv = sv._twisted_roots(x, pr)
+    for i, p in enumerate(ps):
+        z = int(pr.z[i])
+        for j, xx in enumerate(x[i].tolist()):
+            r, ff, iv = int(rho[i, j]), bool(f[i, j]), int(inv[i, j])
+            if xx == 0:
+                assert (r, ff, iv) == (0, False, 0)
+                continue
+            assert ff == (not roots_mod(xx, p, 1)), (p, xx)
+            assert r * r % p == xx * z**ff % p, (p, xx)
+            assert iv * xx % p == 1, (p, xx)
 
 
 @kernel_settings

@@ -89,11 +89,7 @@ def _emit_artifacts(reports, out: str | None):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = run_suite(args.suite, args.seed)
-    except TimeBudgetExceeded as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    reports = run_suite(args.suite, args.seed)
     payload = {
         "suite": args.suite,
         "seed": args.seed,
@@ -288,7 +284,7 @@ def main(argv=None) -> int:
     except TimeBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -430,6 +430,14 @@ class CrtSplitResult:
         return self.delta1 <= tol and self.delta2 <= tol
 
 
+def _residual_table(a: int, b: int, h: int, m1: int, l1: int, d: int) -> list[complex]:
+    """E(a^3 b^4 h^2 m1 l1bar^2, a^3 b^2 h w l1bar^2; d) for w mod d, with
+    l1bar = l1^-1 mod d."""
+    li = pow(l1 * l1, -1, d)
+    c, e = a**3 * b**4 * h**2 * m1 * li, a**3 * b**2 * h * li
+    return [E_sum(c, e * w, d).value for w in range(d)]
+
+
 def crt_split_check(
     k2: int,
     k3: int,
@@ -460,20 +468,8 @@ def crt_split_check(
     if math.gcd(l1, 6 * h * d * mstar * am) != 1:
         raise ValueError("l1 must be invertible mod q*mtilde^2 and coprime to 6")
 
-    m1 = mstar * mtilde
     linv2 = pow(l1 * l1, -1, big) if big > 1 else 0
-
-    # E(a^3 b^4 h^2 m1 l1bar^2, a^3 b^2 h w l1bar^2; d) for w = v mod d
-    if d > 1:
-        li_d = linv2 % d
-        etab = np.array(
-            [
-                E_sum(a**3 * b**4 * h**2 * m1 * li_d, a**3 * b**2 * h * w * li_d, d).value
-                for w in range(d)
-            ]
-        )
-    else:
-        etab = np.array([1 + 0j])
+    etab = np.array(_residual_table(a, b, h, mstar * mtilde, l1, d))  # at w = v mod d
 
     k22 = k2 * k2
     v = np.arange(big, dtype=np.int64)
@@ -606,14 +602,7 @@ def poisson_second_check(
     if math.gcd(l1, 6 * h * d) != 1:
         raise ValueError("(l1, 6hd) must be 1")
     linv2 = pow(l1 * l1, -1, A) if A > 1 else 0
-    if d > 1:
-        li_d = linv2 % d
-        etab = [
-            E_sum(a**3 * b**4 * h**2 * li_d, a**3 * b**2 * h * v * li_d, d).value
-            for v in range(d)
-        ]
-    else:
-        etab = [1 + 0j]
+    etab = _residual_table(a, b, h, 1, l1, d)
     k22 = k2 * k2
     c1 = k3 * h * d * l1 * l1
 

@@ -100,6 +100,13 @@ def stationary_point(alpha: float, beta: float) -> float:
     return math.sqrt(-alpha / (3.0 * beta))
 
 
+def _stationary_phase(alpha: float, beta: float) -> tuple[float, complex]:
+    """(z0, e(1/8 - phi0)): the stationary point and its phase (`G_eval`)."""
+    z0 = stationary_point(alpha, beta)
+    phi0 = 2.0 * abs(alpha) ** 1.5 / (3.0**1.5 * math.sqrt(beta))
+    return z0, np.exp(2j * np.pi * (0.125 - phi0))
+
+
 def G_eval(problem: OscillatoryProblem) -> complex:
     """Stationary-phase main term G(alpha, beta); exactly 0 for alpha >= 0.
 
@@ -109,10 +116,8 @@ def G_eval(problem: OscillatoryProblem) -> complex:
     alpha, beta = problem.alpha, problem.beta
     if alpha >= 0:
         return 0j
-    z0 = stationary_point(alpha, beta)
+    z0, ph = _stationary_phase(alpha, beta)
     amp = 1.0 / (math.sqrt(2.0) * (3.0 * abs(alpha) * beta) ** 0.25)
-    phi0 = 2.0 * abs(alpha) ** 1.5 / (3.0**1.5 * math.sqrt(beta))
-    ph = np.exp(2j * np.pi * (0.125 - phi0))
     return complex(amp * (gauss(z0) * ph + gauss(-z0) * np.conj(ph)))
 
 
@@ -128,10 +133,8 @@ def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
         return 0j
     if s <= 0:
         raise ValueError("s must be positive")
-    z0 = stationary_point(alpha, beta)
+    z0, ph = _stationary_phase(alpha, beta)
     amp = math.sqrt(2.0) * abs(alpha) ** 1.25 / (3.0**1.75 * beta**0.75 * s)
-    phi0 = 2.0 * abs(alpha) ** 1.5 / (3.0**1.5 * math.sqrt(beta))
-    ph = np.exp(2j * np.pi * (0.125 - phi0))
     return complex(
         2j * np.pi * amp * (-gauss(z0) * ph + gauss(-z0) * np.conj(ph))
     )

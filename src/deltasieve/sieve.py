@@ -17,27 +17,31 @@ The rules:
 
 A count runs in two stages.
 
-Stage 1 (roots) works on blocks of primes.  Per block it takes square
-roots mod p only of the primes l <= max |A| and of +-3, twisted so that
-every l has one: rho(l)^2 = l z^f, z the prime's fixed non-residue and
-f the Legendre bit (`_twisted_roots`).  One Tonelli-Shanks pass serves
-both kinds: its squaring chain gives x^((p-1)/2 - 1), which is x^-1 for
-a square and -x^-1 for a non-residue, and a non-residue x is twisted to
-x z before the root is finished.  The twisted roots of all the
-needed n then follow by one product each along n = spf(n) (n / spf(n))
-(`_root_table`).  As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp
-root mod p is one product on that table (`_cusp_roots`).  A prime
-p >= L = 2 Bmax + 1 leaves one candidate pair +-B with |B| <= Bmax per
-stripe, kept when p^2 | Delta; a smaller prime lifts the root to p^2
-(`_lift_root`).  The stage emits hits (stripe, column) and, where
-p^2 < L, stripes of columns (stripe, root, p^2).
+Stage 1 (roots) works on blocks of the primes 5 <= p < L = 2 Bmax + 1.
+Per block it takes square roots mod p only of the primes l <= max |A|
+and of +-3, twisted so that every l has one: rho(l)^2 = l z^f, z the
+prime's fixed non-residue and f the Legendre bit, in one Tonelli-Shanks
+pass (`_twisted_roots`).  The twisted roots of all the needed n then
+follow by one product each along n = spf(n) (n / spf(n)) (`_root_table`).
+As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp root mod p is one
+product on that table (`_cusp_roots`), lifted to p^2 (`_lift_root`).
+The stage emits hits (stripe, column) and, where p^2 < L, stripes of
+columns (stripe, root, p^2).
+
+The primes p >= L go by the cofactor, as the k > xi tail passes to the
+complementary factor (`_RootStage.cofactor`).  On the cells stage 2
+leaves to them (B odd, 3 not dividing A), Delta = 3 or 7 (mod 8) and 3
+does not divide Delta, so p^2 | Delta means Delta = k p^2 with such a k
+and |k| <= Delta_max / L^2.  For each k and stripe, each prime with
+k p^2 - 4 A^3 in [27, 27 Bmax^2] gives one candidate
+B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when that is an integer.
 
 Stage 2 (rows) marks one stripe at a time in a reused L-byte buffer
 (`_mark_row`) and reduces its survivors to (count, sum B, sum B^2).
 
-A pool splits the prime blocks of stage 1 across its workers and merges
-their hits before stage 2.  Marking is idempotent, so counts and stripe
-digests do not depend on the number of workers.
+A pool splits the prime blocks of stage 1 across its workers; their hits
+and the cofactor's are merged before stage 2.  Marking is idempotent, so
+counts and stripe digests do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -323,20 +327,20 @@ class _Table(NamedTuple):
     """The root table of one prime block (rows) against a plan (columns).
 
     rho, f: twisted roots, rho(n)^2 = n z^f mod p with f the Legendre bit
-    of n (rho = 0 exactly where p | n); t = n rho(n) mod p; inv = n^-1 mod p
-    (None when no lift needs it).  cusp[s], fcusp[s] for A = +n (s = 0) and
-    A = -n (s = 1): the cusp root of a stripe is cusp[s] t(n) when
-    f(n) = fcusp[s], the Legendre bit of -3 (s = 0) or 3 (s = 1)."""
+    of n (rho = 0 exactly where p | n); t = n rho(n) mod p; inv = n^-1 mod p.
+    cusp[s], fcusp[s] for A = +n (s = 0) and A = -n (s = 1): the cusp root
+    of a stripe is cusp[s] t(n) when f(n) = fcusp[s], the Legendre bit of
+    -3 (s = 0) or 3 (s = 1)."""
 
     rho: np.ndarray
     f: np.ndarray
     t: np.ndarray
-    inv: np.ndarray | None
+    inv: np.ndarray
     cusp: np.ndarray
     fcusp: np.ndarray
 
 
-def _root_table(pr: _Primes, plan: _Plan, with_inv: bool) -> _Table:
+def _root_table(pr: _Primes, plan: _Plan) -> _Table:
     """Twisted roots of the primes l in the plan and of -3, 3 by
     `_twisted_roots`, then of each composite m = l m' by
     rho(m) = rho(l) rho(m') / z^(f(l) f(m')), one layer of Omega at a time.
@@ -350,19 +354,16 @@ def _root_table(pr: _Primes, plan: _Plan, with_inv: bool) -> _Table:
     f = np.empty(rho.shape, dtype=bool)
     rho[:, 0], f[:, 0] = 1, False
     rho[:, plan.ell], f[:, plan.ell] = rl[:, :k], fl[:, :k]
-    inv = None
-    if with_inv:
-        inv = np.empty_like(rho)
-        inv[:, 0] = 1
-        inv[:, plan.ell] = il[:, :k]
+    inv = np.empty_like(rho)
+    inv[:, 0] = 1
+    inv[:, plan.ell] = il[:, :k]
     zinv = pr.zinv[:, None]
     for cols, a, b in plan.layers:
         fa, fb = f[:, a], f[:, b]
         r = rho[:, a] * rho[:, b] % p
         rho[:, cols] = np.where(fa & fb, r * zinv % p, r)
         f[:, cols] = fa ^ fb
-        if with_inv:
-            inv[:, cols] = inv[:, a] * inv[:, b] % p
+        inv[:, cols] = inv[:, a] * inv[:, b] % p
     r3, f3 = rl[:, k:].T, fl[:, k:].T
     c = np.array([[1], [-1]]) * pr.two9 % pr.p * r3 % pr.p
     cusp = np.where(f3, c * pr.zinv % pr.p, c)
@@ -403,7 +404,7 @@ def stripe_root_sets(As, ps) -> list[set[int]]:
     size = _block_size(plan)
     for lo in range(0, uniq.size, size):
         pr = _Primes.of(uniq[lo : lo + size])
-        tab = _root_table(pr, plan, with_inv=True)
+        tab = _root_table(pr, plan)
         for s in (0, 1):
             B0, ok = _cusp_roots(tab, pr, s)
             k = np.flatnonzero((pi >= lo) & (pi < lo + size) & ((A[j] < 0) == s))
@@ -419,8 +420,8 @@ def stripe_root_sets(As, ps) -> list[set[int]]:
 # ---------------------------------------------------------------------------
 # stage 1: roots, one block of primes at a time
 
-# table entries (primes x columns) per prime block: bounds the temporaries
-# of a block to about a MiB
+# table entries (primes x columns) per prime block, and candidates per
+# chunk of the cofactor scan: bounds their temporaries to about a MiB
 _TABLE = 1 << 15
 
 
@@ -447,30 +448,25 @@ class _RootStage:
     and box, shared by all the prime blocks one process solves."""
 
     def __init__(self, As: np.ndarray, Bmax: int):
-        live = np.flatnonzero(As % 3 != 0)
-        self.plan = _Plan.of(As[live], live)
+        self.live = np.flatnonzero(As % 3 != 0)
+        self.As = As[self.live]
+        self.plan = _Plan.of(self.As, self.live)
         self.Bmax, self.L = Bmax, 2 * Bmax + 1
 
-    def blocks(self, pmax: int) -> list[np.ndarray]:
-        """The primes 5 <= p <= pmax in blocks: those p < L (lifted) apart
-        from p >= L, each ordered by s then p (s = 1 needs no
-        Tonelli-Shanks steps, and the exponents of a block have similar
+    def blocks(self) -> list[np.ndarray]:
+        """The primes 5 <= p < L in blocks, ordered by s then p (s = 1 needs
+        no Tonelli-Shanks steps, and the exponents of a block have similar
         length)."""
-        p = np.asarray(primes_up_to(pmax)[2:], dtype=np.int64)
-        big = p >= self.L
-        p = p[np.lexsort((p, (p - 1) & (1 - p), big))]
-        cut = int(np.count_nonzero(~big))
+        p = np.asarray(primes_up_to(self.L - 1)[2:], dtype=np.int64)
+        p = p[np.lexsort((p, (p - 1) & (1 - p)))]
         size = _block_size(self.plan)
-        return [
-            p[lo : min(lo + size, hi)]
-            for lo0, hi in ((0, cut), (cut, p.size))
-            for lo in range(lo0, hi, size)
-        ]
+        return [p[lo : lo + size] for lo in range(0, p.size, size)]
 
     def run(self, primes: np.ndarray) -> _Found:
+        """Both roots R, p^2 - R mod p^2 of each stripe: stripes of columns
+        where p^2 < L, else at most one column per root."""
         pr = _Primes.of(primes)
-        lift = bool(primes[0] < self.L)
-        tab = _root_table(pr, self.plan, with_inv=lift)
+        tab = _root_table(pr, self.plan)
         parts = []
         for s in (0, 1):
             B0, ok = _cusp_roots(tab, pr, s)
@@ -478,33 +474,39 @@ class _RootStage:
             k = np.flatnonzero(ok)
             i, c = np.divmod(k, B0.shape[1])
             B0 = B0.ravel()[k]
-            parts.append(self._lift(tab, pr, s, i, c, B0) if lift else self._check(pr, s, i, c, B0))
+            R = _lift_cusp(tab, pr, self.plan, s, i, c, B0)
+            p2 = np.tile(pr.p[i] ** 2, 2)
+            roots = np.concatenate([R, p2[: R.size] - R])
+            rows = np.tile(self.plan.rows[s][c], 2)
+            few = p2 < self.L
+            col = (roots + self.Bmax) % p2
+            one = ~few & (col < self.L)
+            parts.append(_Found(rows[one] * self.L + col[one], rows[few], roots[few], p2[few]))
         return _Found(*(np.concatenate(col) for col in zip(*parts)))
 
-    def _check(self, pr: _Primes, s: int, i, c, B0) -> _Found:
-        """p >= L: the one candidate +-b, b = min(B0, p - B0) <= Bmax of
-        each stripe, kept when p^2 | Delta.  It skips the n^-1 table and
-        the Hensel step that `_lift` would spend on these blocks."""
-        b = np.minimum(B0, pr.p[i] - B0)
-        near = np.flatnonzero(b <= self.Bmax)
-        i, c, b = i[near], c[near], b[near]
-        A = self.plan.n[c] * (1 - 2 * s)
-        keep = (27 * b * b + 4 * A * A * A) % pr.p[i] ** 2 == 0
-        flat = self.plan.rows[s][c[keep]] * self.L + self.Bmax
-        b = b[keep]
-        return _Found(np.concatenate([flat - b, flat + b]), _NONE, _NONE, _NONE)
-
-    def _lift(self, tab: _Table, pr: _Primes, s: int, i, c, B0) -> _Found:
-        """p < L: both roots R, p^2 - R mod p^2 of each stripe; stripes of
-        columns where p^2 < L, else at most one column per root."""
-        R = _lift_cusp(tab, pr, self.plan, s, i, c, B0)
-        p2 = np.tile(pr.p[i] ** 2, 2)
-        roots = np.concatenate([R, p2[: R.size] - R])
-        rows = np.tile(self.plan.rows[s][c], 2)
-        few = p2 < self.L
-        col = (roots + self.Bmax) % p2
-        one = ~few & (col < self.L)
-        return _Found(rows[one] * self.L + col[one], rows[few], roots[few], p2[few])
+    def cofactor(self) -> _Found:
+        """The hits of the primes p >= L at odd B, by the cofactor k = Delta / p^2
+        (3 or 7 mod 8, prime to 3): per k, one sorted array of k p^2 and one
+        window of it per stripe, in chunks of about _TABLE candidates."""
+        a3 = 4 * self.As**3
+        top = 4 * int(np.abs(self.As).max(initial=0)) ** 3 + 27 * self.Bmax**2
+        ps = np.asarray(primes_up_to(math.isqrt(top))[2:], dtype=np.int64)
+        kmax = top // self.L**2
+        hits = [_NONE]
+        for k in [k for k in range(-kmax, kmax + 1) if k % 8 in (3, 7) and k % 3]:
+            kp2 = np.sort(k * ps[(ps >= self.L) & (ps <= math.isqrt(top // abs(k)))] ** 2)
+            lo, hi = np.searchsorted(kp2, np.stack([a3 + 27, a3 + 27 * self.Bmax**2 + 1]))
+            n = hi - lo
+            cuts = np.searchsorted(np.cumsum(n), np.arange(_TABLE, int(n.sum()), _TABLE))
+            for rows in np.split(np.arange(a3.size), cuts):
+                m = n[rows]
+                row = np.repeat(rows, m)
+                v = kp2[np.arange(row.size) + np.repeat(lo[rows] - np.cumsum(m) + m, m)] - a3[row]
+                b = np.rint(np.sqrt(v / 27)).astype(np.int64)
+                sq = 27 * b * b == v
+                flat = self.live[row[sq]] * self.L + self.Bmax
+                hits += [flat - b[sq], flat + b[sq]]
+        return _Found(np.concatenate(hits), _NONE, _NONE, _NONE)
 
 
 _worker_stage: _RootStage | None = None  # set in each pool worker process
@@ -524,22 +526,22 @@ def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
     return found
 
 
-def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: Deadline):
-    """Stage 1 over all primes 5 <= p <= pmax: (plan, found).
-    With more than one worker, each task is a share of the prime blocks,
-    so no table is built twice; a deadline that expires in any process
-    cancels the tasks not yet started."""
+def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline):
+    """Stage 1, the cofactor scan (in this process) and the root blocks:
+    (plan, found).  With more than one worker, each task is a share of the
+    blocks, so no table is built twice; a deadline that expires in any
+    process cancels the tasks not yet started."""
     stage = _RootStage(As, Bmax)
-    blocks = stage.blocks(pmax)
+    blocks = stage.blocks()
     workers = min(threads, os.cpu_count() or 1, len(blocks))
+    found = [stage.cofactor()]
     if workers <= 1:
-        found = []
         for primes in blocks:
             deadline.check()
             found.append(stage.run(primes))
         return stage.plan, found
     ntasks = min(len(blocks), 4 * workers)
-    tasks = [blocks[k::ntasks] for k in range(ntasks)]  # lift and p >= L blocks in each
+    tasks = [blocks[k::ntasks] for k in range(ntasks)]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(As, Bmax, deadline)
     ) as pool:
@@ -550,7 +552,7 @@ def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: De
             for fut in futures:
                 fut.cancel()
             raise
-    return stage.plan, [f for part in done for f in part]
+    return stage.plan, found + [f for part in done for f in part]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +561,7 @@ def _find_roots(As: np.ndarray, Bmax: int, pmax: int, threads: int, deadline: De
 
 def _mark_row(buf: np.ndarray, A: int, Bmax: int, spf: np.ndarray, roots, mods, cols):
     """Mark the stripe A in buf (2 Bmax + 1 bytes): True at B + Bmax where
-    some p <= pmax has p^2 | Delta(A, B).  roots, mods: its stripes of
+    some prime p has p^2 | Delta(A, B).  roots, mods: its stripes of
     columns; cols: its hit columns."""
     if A % 3 == 0:
         buf[:] = True  # 9 | Delta, and Delta = 0 needs (A, B) = (-3t^2, +-2t^3)
@@ -598,12 +600,12 @@ def _marked_rows(As: np.ndarray, Bmax: int, plan: _Plan, found: list[_Found], de
         yield i, buf
 
 
-def _mark_rows(As, Bmax: int, pmax: int) -> np.ndarray:
+def _mark_rows(As, Bmax: int) -> np.ndarray:
     """The marked stripes As (distinct A) as one (len(As), 2 Bmax + 1)
     matrix, through both stages; the tables cover only these |A|."""
     As = np.asarray(As, dtype=np.int64)
     deadline = Deadline()
-    plan, found = _find_roots(As, Bmax, pmax, 1, deadline)
+    plan, found = _find_roots(As, Bmax, 1, deadline)
     out = np.empty((As.size, 2 * Bmax + 1), dtype=bool)
     for i, buf in _marked_rows(As, Bmax, plan, found, deadline):
         out[i] = buf
@@ -613,14 +615,14 @@ def _mark_rows(As, Bmax: int, pmax: int) -> np.ndarray:
 def _check_int64_headroom(Amax: int, pmax: int):
     """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3:
 
-      * residues mod p are below p <= pmax, so products of two of them,
+      * residues mod p are below p < L <= pmax, so products of two of them,
         n rho(n) (n <= Amax <= pmax) and the lifted roots r + p k are
         below pmax^2;
       * the Hensel step's 27 r^2 + 4 A^3 (r < p) is below
         27 pmax^2 + 4 Amax^3 in absolute value;
-      * the p >= L check's 27 b^2 + 4 A^3 (b <= Bmax) is at most
-        Delta_max <= pmax^2 + 2 pmax, and hit indices stripe * L + column
-        are below (2 Amax + 1)(2 Bmax + 1) <= Delta_max."""
+      * with pmax = isqrt(Delta_max), the cofactor scan keeps
+        |k| p^2 <= Delta_max <= pmax^2 + 2 pmax, and hit indices
+        stripe * L + column are below (2 Amax + 1)(2 Bmax + 1) <= Delta_max."""
     if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
         raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
 
@@ -636,11 +638,9 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
     t0 = time.perf_counter()
     deadline = deadline or Deadline()
     Amax, Bmax = _box_bounds(cfg)
-    dmax = 4 * Amax**3 + 27 * Bmax**2
-    pmax = math.isqrt(dmax)
-    _check_int64_headroom(Amax, pmax)
+    _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    plan, found = _find_roots(As, Bmax, pmax, cfg.threads, deadline)
+    plan, found = _find_roots(As, Bmax, cfg.threads, deadline)
     Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
     X, mode = cfg.X, cfg.mode
     stripes = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith, characters, density, expsum, oscint, sieve
-from .deadline import Deadline
+from .deadline import Deadline, TimeBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -818,8 +818,8 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         )
     )
 
-    # X=4 has 14 prime blocks, so with two or more CPUs the pool tasks hold
-    # several blocks each and the workers' stage-1 hits are merged
+    # X=4 has 6 prime blocks, so with two or more CPUs the pool tasks hold
+    # one block each and the workers' stage-1 hits are merged
     runs = [sieve.exact_count(sieve.CountConfig(X=4, threads=t)) for t in (1, 4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count
@@ -912,8 +912,17 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> list[SuiteReport]:
-    if name == "all":
-        return [fn(seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    """The reports of suite `name`, or of every suite for "all".  A suite
+    that raises (other than on the deadline) reports one failing check that
+    carries the exception, and the suites after it still run."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](seed)]
+    reports = []
+    for n in SUITES if name == "all" else [name]:
+        try:
+            reports.append(SUITES[n](seed))
+        except TimeBudgetExceeded:
+            raise
+        except Exception as exc:
+            reports.append(SuiteReport(n, seed, [CheckResult("raised", False, 0.0, repr(exc))]))
+    return reports

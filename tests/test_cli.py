@@ -161,6 +161,34 @@ def test_verify_failure_path(monkeypatch, capsys):
     assert "l=13 m=2 n=-1" in captured.err
 
 
+def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
+    """A RuntimeError from the sieve kernel (here the B -> -B gate, tripped
+    by a stage 2 that breaks the symmetry) fails the sieve suite with one
+    check that carries it, while the other suites still run; `count` exits
+    1 with `error: ...` on stderr and no payload."""
+    from deltasieve import sieve, suites
+
+    mark_row = sieve._mark_row
+
+    def flip_one(buf, A, Bmax, *rest):
+        mark_row(buf, A, Bmax, *rest)
+        if A == 1:
+            buf[Bmax + 1] ^= True
+
+    monkeypatch.setattr(sieve, "_mark_row", flip_one)
+    assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    reports = json.loads(out)["suites"]
+    assert [r["name"] for r in reports] == list(suites.SUITES)
+    assert [r["name"] for r in reports if not r["ok"]] == ["sieve"]
+    (check,) = reports[list(suites.SUITES).index("sieve")]["checks"]
+    assert check["name"] == "raised" and "stripe A = 1:" in check["detail"]
+    assert "FAILED sieve.raised" in err
+    assert cli.main(["count", "--X", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: stripe A = 1:" in err
+
+
 def test_parser_flags():
     ap = cli.build_parser()
     ns = ap.parse_args(["verify", "--suite", "all", "--seed", "7"])

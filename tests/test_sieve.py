@@ -76,18 +76,18 @@ def test_pool_is_bounded(monkeypatch):
     monkeypatch.setattr(sv, "_worker_deadline", None)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 4)
     want = sv.exact_count(sv.CountConfig(X=2))
-    # X = 2: 11 table columns (|A| <= 16, 3 not dividing A); 29 primes
-    # 5 <= p < L = 129 and 40 primes L <= p <= pmax = 356, blocked apart
-    for table, blocks, expect in ((11, 69, [4]), (11 * 29, 3, [3]), (11 * 40, 2, [2])):
+    # X = 2: 11 table columns (|A| <= 16, 3 not dividing A) and 29 primes
+    # 5 <= p < L = 129; the primes p >= L go by the cofactor, in this process
+    for table, blocks, expect in ((11, 29, [4]), (11 * 15, 2, [2]), (11 * 29, 1, [])):
         monkeypatch.setattr(sv, "_TABLE", table)
         stage = sv._RootStage(np.arange(-16, 17), 64)
-        assert len(stage.blocks(356)) == blocks
+        assert len(stage.blocks()) == blocks
         sizes.clear()
         got = sv.exact_count(sv.CountConfig(X=2, threads=10**6))
         assert sizes == expect
         assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
     sizes.clear()
-    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # one block: p = 5
+    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # L = 3: no block
     assert sizes == []
 
 
@@ -124,9 +124,8 @@ def test_mark_fills_three_divides_A_rows():
     # the per-row reduction relies on this to drop the Delta = 0 pairs
     cfg = sv.CountConfig(X=3)
     Amax, Bmax = sv._box_bounds(cfg)
-    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    marked = sv._mark_rows(As, Bmax, pmax)
+    marked = sv._mark_rows(As, Bmax)
     assert marked[As % 3 == 0].all()
 
 
@@ -332,7 +331,7 @@ def test_twisted_root_table(ps, ns):
     pr = sv._Primes.of(ps)
     plan = sv._Plan.of(ns, range(len(ns)))
     assert set(ns) <= set(plan.n.tolist())
-    tab = sv._root_table(pr, plan, with_inv=True)
+    tab = sv._root_table(pr, plan)
     cusp = [sv._cusp_roots(tab, pr, s) for s in (0, 1)]
     for i, p in enumerate(ps):
         z = int(pr.z[i])
@@ -425,12 +424,11 @@ def test_mark_sampled_pairs_match_squarefree(X):
     cover only those |A| and their factors."""
     cfg = sv.CountConfig(X=X)
     Amax, Bmax = sv._box_bounds(cfg)
-    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
     L = 2 * Bmax + 1
     big = [p for p in arith.primes_up_to(20 * math.isqrt(L)) if p * p >= L]
     rng = np.random.default_rng(X)
     As = rng.choice([A for A in range(-Amax, Amax + 1) if A % 3], 4, replace=False)
-    marked = sv._mark_rows(As, Bmax, pmax)
+    marked = sv._mark_rows(As, Bmax)
     seen = set()
     for row, A in enumerate(As.tolist()):
         hits = [
@@ -450,30 +448,30 @@ def test_mark_sampled_pairs_match_squarefree(X):
     assert seen == {True, False}
 
 
-def test_large_prime_hits_match_delta_grid():
-    """Stage 1's p >= L path (`_RootStage._check`) against the Delta grid.
-    In a count such hits are rare (none in the whole X = 4 box), so the
-    stripes here are |A| <= 100 with a short B range, Bmax = 60 (L = 121,
-    still above max |A| as in every box), where p^2 | Delta for some
-    L <= p <= sqrt(Delta_max) often: the hits of the blocks p >= L are
-    exactly those (A, B)."""
-    Amax, Bmax = 100, 60
-    L = 2 * Bmax + 1
-    pmax = math.isqrt(4 * Amax**3 + 27 * Bmax**2)
-    As = np.array([A for A in range(-Amax, Amax + 1) if A % 3])
-    stage = sv._RootStage(As, Bmax)
-    got = set()
-    for primes in stage.blocks(pmax):
-        if primes[0] >= L:
-            found = stage.run(primes)
+def test_large_prime_hits_match_delta_grid(monkeypatch):
+    """The cofactor scan of the primes p >= L (`_RootStage.cofactor`)
+    against the Delta grid, on the cells stage 2 leaves to it (B odd, 3 not
+    dividing A).  In a count such hits are rare (none in the whole X = 4
+    box), so the boxes here have a short B range, where p^2 | Delta for
+    some p >= L often, with negative and large cofactors k = Delta / p^2.
+    In the second box max |A| > L, and p = L = 61 is a prime.  A small
+    _TABLE splits each scan into many chunks."""
+    for Amax, Bmax, ks in (
+        (100, 60, {-101, -77, -61, 31}),
+        (200, 30, {-1765, -173, -125, -77, -53, -37, 31, 239, 367, 1351}),
+    ):
+        L = 2 * Bmax + 1
+        As = np.arange(-Amax, Amax + 1, dtype=np.int64)
+        B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
+        d = 4 * As[:, None] ** 3 + 27 * B * B
+        k = np.zeros(d.shape, dtype=np.int64)
+        for p in arith.primes_up_to(math.isqrt(int(d.max()))):
+            if p >= L:
+                k = np.where((d % (p * p) == 0) & (d != 0), d // (p * p), k)
+        hit = (k != 0) & (As[:, None] % 3 != 0) & (B % 2 != 0)
+        assert set(k[hit].tolist()) == ks, (Amax, Bmax)
+        for table in (sv._TABLE, 7):
+            monkeypatch.setattr(sv, "_TABLE", table)
+            found = sv._RootStage(As, Bmax).cofactor()
             assert found.rows.size == 0
-            got |= set(found.hits.tolist())
-    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
-    d = 4 * As[:, None] ** 3 + 27 * B * B
-    hit = np.zeros(d.shape, dtype=bool)
-    for p in arith.primes_up_to(pmax):
-        if p >= L:
-            hit |= d % (p * p) == 0
-    want = set(np.flatnonzero(hit).tolist())
-    assert len(want) >= 10  # 16 here
-    assert got == want
+            assert sorted(found.hits.tolist()) == np.flatnonzero(hit).tolist(), (Amax, Bmax, table)

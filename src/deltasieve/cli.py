@@ -7,10 +7,9 @@ One binary, four subcommands:
     deltasieve count    --X 1 | --X 3,4,5,6 --mode {exact,smoothed}
     deltasieve balance  --preset paper | --terms FILE
 
-Headers (version, resolved flags, wall clock) go to stderr; the payload
-(JSON or CSV) goes to stdout or --out and is byte-identical across reruns
-with the same flags and seed, except for the ``seconds`` timing column of
-count reports.
+Headers (version, resolved flags, wall clock) and the elapsed seconds of
+``count`` go to stderr; the payload (JSON or CSV) goes to stdout or --out
+and is byte-identical across reruns with the same flags and seed.
 
 Exit codes: 0 success, 1 assertion/guard failure, 2 usage error.
 The environment variable DELTASIEVE_MAX_SECONDS aborts long runs.
@@ -179,7 +178,9 @@ def _cmd_count(args) -> int:
     except ValueError as exc:
         print(f"bad count arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    t0 = time.perf_counter()
     rows = compare_main_term(xs, mode=args.mode, threads=args.threads)
+    print(f"count: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     if args.format == "json":
         payload = [asdict(r) for r in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

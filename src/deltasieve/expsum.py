@@ -483,27 +483,17 @@ def crt_split_check(
     phx = (cq * (x * x % q * x % q) + (u % q) * x) % q
     sx_terms = etab[(x * (mt2 % d if d > 1 else 0)) % d] * _unit_circle(phx, q)
     sx = complex(sx_terms.sum())
-    y = np.arange(mt2, dtype=np.int64)
     cm = (linv2 % mt2) * k22 % mt2 * (q * q % mt2) % mt2
-    phy = (cm * (y * y % mt2 * y % mt2) + (u % mt2) * y) % mt2
-    sy = complex(_unit_circle(phy, mt2).sum())
-    rhs1 = sx * sy
+    rhs1 = sx * F_sum(cm, 0, u, mt2).value
 
-    # (reduction2): x-sum through z mod d and y mod qtilde
+    # (reduction2): x-sum through z mod d and y mod qtilde, where
+    # cq (z + d y)^3 + u (z + d y) leaves F(cq d^2, cq 3dz, cq 3z^2 + u; qtilde)
     qt = q // d
     cqt = cq % qt
     rhs2 = 0j
-    yy = np.arange(qt, dtype=np.int64)
     for z in range(d):
         phz = (cq * (z * z % q * z % q) + (u % q) * z) % q
-        inner = (
-            cqt
-            * ((d * d % qt) * (yy * yy % qt * yy % qt) % qt
-               + (3 * d * z % qt) * (yy * yy % qt) % qt
-               + (3 * z * z % qt) * yy % qt)
-            + (u % qt) * yy
-        ) % qt
-        sy2 = complex(_unit_circle(inner, qt).sum())
+        sy2 = F_sum(cqt * d * d, cqt * 3 * d * z, cqt * 3 * z * z + u, qt).value
         rhs2 += etab[(z * (mt2 % d if d > 1 else 0)) % d] * e_frac(Fraction(int(phz), q)) * sy2
 
     return CrtSplitResult(

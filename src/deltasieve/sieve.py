@@ -5,12 +5,17 @@ identity, the k > xi tail, and main-term comparisons.
 Exactness strategy: every stripe (one A, all B) is sieved by every prime
 p <= sqrt(Delta_max); a surviving pair is certified square-free because
 any square divisor of Delta has a prime factor at most sqrt(|Delta|).
-The rules:
+The primes 2 and 3 decide by congruence alone, and their rules are the
+domain of the sieve, not marks in it:
 
-  * 4 | Delta  iff  B is even            (column rule)
-  * 9 | Delta  iff  3 | A                (whole stripes die; they hold
-                                          every Delta = 0 pair)
-  * p | A (5 <= p <= max |A|): p^2 | Delta iff p | B
+  * 4 | Delta  iff  B is even            (only odd B are sieved)
+  * 9 | Delta  iff  3 | A                (those stripes are not sieved:
+                                          they die whole, and hold every
+                                          Delta = 0 pair)
+
+On that domain Delta is prime to 6, and for p >= 5:
+
+  * p | A: p^2 | Delta iff p | B
   * otherwise p^2 | Delta iff B is one of the two roots mod p^2 of
     27 B^2 + 4 A^3, which lie over the cusp roots mod p,
     B = +-(2A/9) sqrt(-3A): the points (-3t^2, 2t^3) where Delta = 0.
@@ -24,20 +29,24 @@ prime's fixed non-residue and f the Legendre bit, in one Tonelli-Shanks
 pass (`_twisted_roots`).  The twisted roots of all the needed n then
 follow by one product each along n = spf(n) (n / spf(n)) (`_root_table`).
 As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp root mod p is one
-product on that table (`_cusp_roots`), lifted to p^2 (`_lift_root`).
-The stage emits hits (stripe, column) and, where p^2 < L, stripes of
-columns (stripe, root, p^2).
+product on that table (`_cusp_roots`), lifted to p^2 (`_lift_root`);
+it is 0 exactly where p | A.  The stage emits progressions of B
+(stripe, 0, p) where p | A and (stripe, root, p^2) where p^2 < L, and
+hits (stripe, odd B) for the roots mod the larger p^2.
 
 The primes p >= L go by the cofactor, as the k > xi tail passes to the
-complementary factor (`_RootStage.cofactor`).  On the cells stage 2
-leaves to them (B odd, 3 not dividing A), Delta = 3 or 7 (mod 8) and 3
-does not divide Delta, so p^2 | Delta means Delta = k p^2 with such a k
-and |k| <= Delta_max / L^2.  For each k and stripe, each prime with
-k p^2 - 4 A^3 in [27, 27 Bmax^2] gives one candidate
-B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when that is an integer.
+complementary factor (`_RootStage.cofactor`).  On the domain, Delta = 3
+or 7 (mod 8) and 3 does not divide Delta, so p^2 | Delta means
+Delta = k p^2 with such a k and |k| <= Delta_max / L^2.  For each k and
+stripe, each prime with k p^2 - 4 A^3 in [27, 27 Bmax^2] gives one
+candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when that is an
+integer.  A prime p >= L that divides A marks only B = 0.
 
-Stage 2 (rows) marks one stripe at a time in a reused L-byte buffer
-(`_mark_row`) and reduces its survivors to (count, sum B, sum B^2).
+Stage 2 (rows) marks one stripe at a time in a reused buffer of its W
+odd B (`_mark_row`): a progression B = r (mod m), m odd, is one stride m
+from the cell of its odd solution mod 2m, and a hit is one cell.  Each
+row then reduces to (count, sum B, sum B^2) over precomputed odd B and
+B^2 columns; a 3 | A stripe is (A, 0, 0, 0).
 
 A pool splits the prime blocks of stage 1 across its workers; their hits
 and the cofactor's are merged before stage 2.  Marking is idempotent, so
@@ -49,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -97,7 +105,6 @@ class CountResult:
     mode: str
     count: int | None
     weighted: float | None
-    seconds: float
     nstripes: int
     stripe_digest: str
     stripe_summaries: tuple = field(repr=False, default=())
@@ -280,13 +287,12 @@ class _Plan(NamedTuple):
     closed under m -> spf(m), m / spf(m).  ell: the columns of the primes.
     layers: for each Omega >= 2, the columns m of that Omega with the
     columns of spf(m) and m / spf(m).  rows[0 | 1, c]: the stripe of
-    A = +n[c] | -n[c], or -1.  spf: smallest prime factors up to n[-1]."""
+    A = +n[c] | -n[c], or -1."""
 
     n: np.ndarray
     ell: np.ndarray
     layers: tuple
     rows: np.ndarray
-    spf: np.ndarray
 
     @classmethod
     def of(cls, As, ids) -> _Plan:
@@ -320,7 +326,7 @@ class _Plan(NamedTuple):
         ids = np.asarray(ids, dtype=np.int64)
         rows[0, col[a[A > 0]]] = ids[A > 0]
         rows[1, col[a[A < 0]]] = ids[A < 0]
-        return cls(n, col[n[om == 1]], layers, rows, spf)
+        return cls(n, col[n[om == 1]], layers, rows)
 
 
 class _Table(NamedTuple):
@@ -390,33 +396,6 @@ def _lift_cusp(tab: _Table, pr: _Primes, plan: _Plan, s: int, i, c, r) -> np.nda
     return _lift_root(r, xinv, A * A * A, p, pr.inv54[i])
 
 
-def stripe_root_sets(As, ps) -> list[set[int]]:
-    """For each pair (A, p), p >= 5 a prime not dividing A: the B mod p^2
-    with 27 B^2 + 4 A^3 = 0 (mod p^2), through the count's root tables
-    (cusp root mod p, lifted)."""
-    A = np.asarray(As, dtype=np.int64)
-    p = np.asarray(ps, dtype=np.int64)
-    sets = [set() for _ in range(A.size)]
-    j = np.flatnonzero(A % p != 0)
-    plan = _Plan.of(A[j], j)
-    cols = np.searchsorted(plan.n, np.abs(A[j]))
-    uniq, pi = np.unique(p[j], return_inverse=True)
-    size = _block_size(plan)
-    for lo in range(0, uniq.size, size):
-        pr = _Primes.of(uniq[lo : lo + size])
-        tab = _root_table(pr, plan)
-        for s in (0, 1):
-            B0, ok = _cusp_roots(tab, pr, s)
-            k = np.flatnonzero((pi >= lo) & (pi < lo + size) & ((A[j] < 0) == s))
-            i, c = pi[k] - lo, cols[k]
-            keep = ok[i, c]
-            k, i, c = k[keep], i[keep], c[keep]
-            R = _lift_cusp(tab, pr, plan, s, i, c, B0[i, c])
-            for jj, root, q in zip(j[k].tolist(), R.tolist(), pr.p[i].tolist()):
-                sets[jj] = {root, q * q - root}
-    return sets
-
-
 # ---------------------------------------------------------------------------
 # stage 1: roots, one block of primes at a time
 
@@ -425,14 +404,16 @@ def stripe_root_sets(As, ps) -> list[set[int]]:
 _TABLE = 1 << 15
 
 
-def _block_size(plan: _Plan) -> int:
-    """Primes per block for the plan's column count."""
-    return max(1, _TABLE // plan.n.size)
+def _odd_span(Bmax: int) -> tuple[int, int]:
+    """(lo, W): the odd B in [-Bmax, Bmax] are lo, lo + 2, ..., lo + 2 (W - 1),
+    the columns of stage 2."""
+    h = (Bmax + 1) // 2
+    return 1 - 2 * h, 2 * h
 
 
 class _Found(NamedTuple):
-    """Stage 1's output for some prime blocks: hits (stripe * L + column)
-    and stripes of columns (stripe, root, modulus p^2 < L)."""
+    """Stage 1's output for some prime blocks: hits (stripe * W + column)
+    and progressions of B (stripe, root, odd modulus p or p^2 < L)."""
 
     hits: np.ndarray
     rows: np.ndarray
@@ -441,6 +422,17 @@ class _Found(NamedTuple):
 
 
 _NONE = np.zeros(0, dtype=np.int64)
+_EMPTY = _Found(_NONE, _NONE, _NONE, _NONE)
+
+# root blocks whose output is merged into one _Found: a few large arrays
+# fragment the malloc heap far less than four small ones per block (X = 8,
+# one process, glibc: stage 1 peaked at 66 MiB RSS merged, 103-109 unmerged)
+_BATCH = 64
+
+
+def _merge(parts) -> _Found:
+    """The hits and progressions of all the parts, as one _Found."""
+    return _Found(*(np.concatenate(col) for col in zip(_EMPTY, *parts)))
 
 
 class _RootStage:
@@ -452,6 +444,7 @@ class _RootStage:
         self.As = As[self.live]
         self.plan = _Plan.of(self.As, self.live)
         self.Bmax, self.L = Bmax, 2 * Bmax + 1
+        self.lo, self.W = _odd_span(Bmax)
 
     def blocks(self) -> list[np.ndarray]:
         """The primes 5 <= p < L in blocks, ordered by s then p (s = 1 needs
@@ -459,30 +452,36 @@ class _RootStage:
         length)."""
         p = np.asarray(primes_up_to(self.L - 1)[2:], dtype=np.int64)
         p = p[np.lexsort((p, (p - 1) & (1 - p)))]
-        size = _block_size(self.plan)
+        size = max(1, _TABLE // self.plan.n.size)
         return [p[lo : lo + size] for lo in range(0, p.size, size)]
 
     def run(self, primes: np.ndarray) -> _Found:
-        """Both roots R, p^2 - R mod p^2 of each stripe: stripes of columns
-        where p^2 < L, else at most one column per root."""
+        """Per stripe and prime: the progression (stripe, 0, p) where p | A;
+        else both roots R, p^2 - R mod p^2, as progressions where p^2 < L
+        and otherwise as at most one hit per root, at odd B."""
         pr = _Primes.of(primes)
         tab = _root_table(pr, self.plan)
         parts = []
         for s in (0, 1):
             B0, ok = _cusp_roots(tab, pr, s)
-            ok &= self.plan.rows[s] >= 0
+            stripe = self.plan.rows[s]
+            live = stripe >= 0
+            k = np.flatnonzero((B0 == 0) & live)  # p | A: p^2 | Delta iff p | B
+            i, c = np.divmod(k, B0.shape[1])
+            parts.append(_Found(_NONE, stripe[c], np.zeros_like(c), pr.p[i]))
+            ok &= live
             k = np.flatnonzero(ok)
             i, c = np.divmod(k, B0.shape[1])
-            B0 = B0.ravel()[k]
-            R = _lift_cusp(tab, pr, self.plan, s, i, c, B0)
+            R = _lift_cusp(tab, pr, self.plan, s, i, c, B0.ravel()[k])
             p2 = np.tile(pr.p[i] ** 2, 2)
             roots = np.concatenate([R, p2[: R.size] - R])
-            rows = np.tile(self.plan.rows[s][c], 2)
+            rows = np.tile(stripe[c], 2)
             few = p2 < self.L
-            col = (roots + self.Bmax) % p2
-            one = ~few & (col < self.L)
-            parts.append(_Found(rows[one] * self.L + col[one], rows[few], roots[few], p2[few]))
-        return _Found(*(np.concatenate(col) for col in zip(*parts)))
+            B = (roots + self.Bmax) % p2 - self.Bmax
+            one = ~few & (B <= self.Bmax) & (B % 2 == 1)
+            hits = rows[one] * self.W + (B[one] - self.lo) // 2
+            parts.append(_Found(hits, rows[few], roots[few], p2[few]))
+        return _merge(parts)
 
     def cofactor(self) -> _Found:
         """The hits of the primes p >= L at odd B, by the cofactor k = Delta / p^2
@@ -504,8 +503,8 @@ class _RootStage:
                 v = kp2[np.arange(row.size) + np.repeat(lo[rows] - np.cumsum(m) + m, m)] - a3[row]
                 b = np.rint(np.sqrt(v / 27)).astype(np.int64)
                 sq = 27 * b * b == v
-                flat = self.live[row[sq]] * self.L + self.Bmax
-                hits += [flat - b[sq], flat + b[sq]]
+                flat, B = self.live[row[sq]] * self.W, b[sq]  # B is odd, as Delta is
+                hits += [flat + (B - self.lo) // 2, flat - (B + self.lo) // 2]
         return _Found(np.concatenate(hits), _NONE, _NONE, _NONE)
 
 
@@ -518,17 +517,25 @@ def _init_worker(As: np.ndarray, Bmax: int, deadline: Deadline):
     _worker_stage, _worker_deadline = _RootStage(As, Bmax), deadline
 
 
-def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
-    found = []
+def _run_blocks(stage: _RootStage, blocks: list[np.ndarray], deadline: Deadline) -> list[_Found]:
+    """stage.run on each block, merged _BATCH blocks at a time."""
+    found, batch = [], []
     for primes in blocks:
-        _worker_deadline.check()
-        found.append(_worker_stage.run(primes))
-    return found
+        deadline.check()
+        batch.append(stage.run(primes))
+        if len(batch) == _BATCH:
+            found.append(_merge(batch))
+            batch = []
+    return found + [_merge(batch)]
 
 
-def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline):
-    """Stage 1, the cofactor scan (in this process) and the root blocks:
-    (plan, found).  With more than one worker, each task is a share of the
+def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
+    return _run_blocks(_worker_stage, blocks, _worker_deadline)
+
+
+def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline) -> _Found:
+    """Stage 1, the cofactor scan (in this process) and the root blocks,
+    merged.  With more than one worker, each task is a share of the
     blocks, so no table is built twice; a deadline that expires in any
     process cancels the tasks not yet started."""
     stage = _RootStage(As, Bmax)
@@ -536,10 +543,7 @@ def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline):
     workers = min(threads, os.cpu_count() or 1, len(blocks))
     found = [stage.cofactor()]
     if workers <= 1:
-        for primes in blocks:
-            deadline.check()
-            found.append(stage.run(primes))
-        return stage.plan, found
+        return _merge(found + _run_blocks(stage, blocks, deadline))
     ntasks = min(len(blocks), 4 * workers)
     tasks = [blocks[k::ntasks] for k in range(ntasks)]
     with ProcessPoolExecutor(
@@ -552,62 +556,54 @@ def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline):
             for fut in futures:
                 fut.cancel()
             raise
-    return stage.plan, found + [f for part in done for f in part]
+    return _merge(found + [f for part in done for f in part])
 
 
 # ---------------------------------------------------------------------------
 # stage 2: rows
 
 
-def _mark_row(buf: np.ndarray, A: int, Bmax: int, spf: np.ndarray, roots, mods, cols):
-    """Mark the stripe A in buf (2 Bmax + 1 bytes): True at B + Bmax where
-    some prime p has p^2 | Delta(A, B).  roots, mods: its stripes of
-    columns; cols: its hit columns."""
-    if A % 3 == 0:
-        buf[:] = True  # 9 | Delta, and Delta = 0 needs (A, B) = (-3t^2, +-2t^3)
-        return
+def _mark_row(buf: np.ndarray, starts, mods, cols):
+    """Mark one stripe in buf (its W odd B): True where some prime p >= 5
+    has p^2 | Delta(A, B).  starts, mods: its progressions, as a first
+    cell and a stride; cols: its hit cells."""
     buf[:] = False
-    buf[Bmax % 2 :: 2] = True  # B even <=> 4 | Delta
-    n = abs(A)
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-        if p >= 5:
-            buf[Bmax % p :: p] = True  # p | A: p^2 | Delta iff p | B
-    for root, m in zip(roots, mods):
-        buf[(root + Bmax) % m :: m] = True
+    for start, m in zip(starts, mods):
+        buf[start::m] = True
     buf[cols] = True
 
 
-def _marked_rows(As: np.ndarray, Bmax: int, plan: _Plan, found: list[_Found], deadline: Deadline):
-    """Stage 2: yields (i, buf) for each stripe As[i] with buf marked by
-    `_mark_row`.  The one buffer is reused: read it before the next step."""
-    L = 2 * Bmax + 1
-    hits = np.sort(np.concatenate([f.hits for f in found] + [_NONE]))
-    hb = np.searchsorted(hits, np.arange(As.size + 1) * L).tolist()
-    rows = np.concatenate([f.rows for f in found] + [_NONE])
+def _marked_rows(As: np.ndarray, Bmax: int, found: _Found, deadline: Deadline):
+    """Stage 2: yields (i, buf) for each stripe As[i] with 3 not dividing A,
+    buf marked by `_mark_row`.  The one buffer is reused: read it before the
+    next step.  A progression B = r (mod m) starts at the cell of its odd
+    solution, (r - lo) (m + 1) / 2 mod m."""
+    lo, W = _odd_span(Bmax)
+    hits, rows, roots, mods = found
+    hits = np.sort(hits)
+    hb = np.searchsorted(hits, np.arange(As.size + 1) * W).tolist()
     order = np.argsort(rows, kind="stable")
-    roots = np.concatenate([f.roots for f in found] + [_NONE])[order]
-    mods = np.concatenate([f.mods for f in found] + [_NONE])[order]
+    mods = mods[order]
+    starts = (roots[order] - lo) * ((mods + 1) // 2) % mods
     sb = np.searchsorted(rows[order], np.arange(As.size + 1)).tolist()
-    buf = np.empty(L, dtype=bool)
-    for i, A in enumerate(As.tolist()):
-        if i % 256 == 0:
+    buf = np.empty(W, dtype=bool)
+    for k, i in enumerate(np.flatnonzero(As % 3 != 0).tolist()):
+        if k % 256 == 0:
             deadline.check()
-        cols = hits[hb[i] : hb[i + 1]] - i * L
-        lo, hi = sb[i], sb[i + 1]
-        _mark_row(buf, A, Bmax, plan.spf, roots[lo:hi].tolist(), mods[lo:hi].tolist(), cols)
+        a, b = sb[i], sb[i + 1]
+        _mark_row(buf, starts[a:b].tolist(), mods[a:b].tolist(), hits[hb[i] : hb[i + 1]] - i * W)
         yield i, buf
 
 
 def _mark_rows(As, Bmax: int) -> np.ndarray:
-    """The marked stripes As (distinct A) as one (len(As), 2 Bmax + 1)
-    matrix, through both stages; the tables cover only these |A|."""
+    """The marked stripes As (distinct A) as one (len(As), W) matrix over
+    the odd B, through both stages; the rows of 3 | A are all marked.  The
+    tables cover only these |A|."""
     As = np.asarray(As, dtype=np.int64)
     deadline = Deadline()
-    plan, found = _find_roots(As, Bmax, 1, deadline)
-    out = np.empty((As.size, 2 * Bmax + 1), dtype=bool)
-    for i, buf in _marked_rows(As, Bmax, plan, found, deadline):
+    found = _find_roots(As, Bmax, 1, deadline)
+    out = np.ones((As.size, _odd_span(Bmax)[1]), dtype=bool)
+    for i, buf in _marked_rows(As, Bmax, found, deadline):
         out[i] = buf
     return out
 
@@ -622,7 +618,10 @@ def _check_int64_headroom(Amax: int, pmax: int):
         27 pmax^2 + 4 Amax^3 in absolute value;
       * with pmax = isqrt(Delta_max), the cofactor scan keeps
         |k| p^2 <= Delta_max <= pmax^2 + 2 pmax, and hit indices
-        stripe * L + column are below (2 Amax + 1)(2 Bmax + 1) <= Delta_max."""
+        stripe * W + column (W <= Bmax + 1 odd columns) are below
+        (2 Amax + 1)(Bmax + 1) <= Delta_max;
+      * a progression's first cell (r - lo) (m + 1) / 2, r < m < L and
+        -lo <= Bmax, is below L^2 <= pmax^2."""
     if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
         raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
 
@@ -635,40 +634,38 @@ def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
 
 
 def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
-    t0 = time.perf_counter()
     deadline = deadline or Deadline()
     Amax, Bmax = _box_bounds(cfg)
     _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    plan, found = _find_roots(As, Bmax, cfg.threads, deadline)
-    Bs = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
-    X, mode = cfg.X, cfg.mode
-    stripes = []
-    for i, marked in _marked_rows(As, Bmax, plan, found, deadline):
-        A = int(As[i])
-        surv = Bs[~marked]
-        cnt = int(surv.size)
-        bsum = int(surv.sum()) if cnt else 0
-        b2 = int(surv @ surv) % (2**61 - 1)  # sum B^2 <= L Bmax^2 < 2^63
-        if mode == "smoothed":
-            wsum = float(gauss(A / X**4) * np.sum(gauss(surv / X**6))) if cnt else 0.0
-            stripes.append((A, cnt, bsum, b2, wsum))
-        else:
-            stripes.append((A, cnt, bsum, b2))
+    found = _find_roots(As, Bmax, cfg.threads, deadline)
+    Bs = np.arange(_odd_span(Bmax)[0], Bmax + 1, 2, dtype=np.int64)  # the W odd B
+    B2 = Bs * Bs  # sum B^2 <= W Bmax^2 < 2^63
+    smoothed = cfg.mode == "smoothed"
+    dead = (0, 0, 0, 0.0) if smoothed else (0, 0, 0)  # 3 | A: 9 | Delta
+    stripes = [(A,) + dead for A in As.tolist()]
+    if smoothed:
+        gB = gauss(Bs / cfg.X**6)
+    for i, marked in _marked_rows(As, Bmax, found, deadline):
+        keep = ~marked
+        A = stripes[i][0]
+        row = (A, int(np.count_nonzero(keep)), int(Bs @ keep), int(B2 @ keep) % (2**61 - 1))
+        if smoothed:
+            row += (float(gauss(A / cfg.X**4) * np.sum(gB[keep])),)
+        stripes[i] = row
     # B -> -B fixes Delta, so the surviving B of every stripe sum to 0
     for row in stripes:
         if row[2]:
             raise RuntimeError(f"stripe A = {row[0]}: surviving B sum to {row[2]}, not 0")
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()
-    seconds = time.perf_counter() - t0
-    if cfg.mode == "exact":
-        total = sum(row[1] for row in stripes)
-        return CountResult(
-            cfg.X, cfg.mode, total, None, seconds, len(stripes), digest, tuple(stripes)
-        )
-    weighted = float(np.sum(np.array([row[4] for row in stripes])))
     return CountResult(
-        cfg.X, cfg.mode, None, weighted, seconds, len(stripes), digest, tuple(stripes)
+        cfg.X,
+        cfg.mode,
+        None if smoothed else sum(row[1] for row in stripes),
+        float(np.sum(np.array([row[4] for row in stripes]))) if smoothed else None,
+        len(stripes),
+        digest,
+        tuple(stripes),
     )
 
 
@@ -851,7 +848,6 @@ class MainTermRow:
     main_hi: float
     residual: float
     residual_over_X7: float
-    seconds: float
 
 
 def compare_main_term(
@@ -872,7 +868,5 @@ def compare_main_term(
         main_lo = lead * const.lo * X**10
         main_hi = lead * const.hi * X**10
         residual = val - lead * const.value * X**10
-        rows.append(
-            MainTermRow(X, mode, val, main_lo, main_hi, residual, residual / X**7, res.seconds)
-        )
+        rows.append(MainTermRow(X, mode, val, main_lo, main_hi, residual, residual / X**7))
     return rows

@@ -855,10 +855,18 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         want = set(arith.sqrt_mod_prime_power(t, p, 2))
         checked += len(want)
         draws.append((A, p, want))
-    got = sieve.stripe_root_sets([d[0] for d in draws], [d[1] for d in draws])
+    # one stage-1 pass over every drawn A and p; with Bmax >= max p^2 each
+    # root comes back as a progression (stripe, R, p^2)
+    As = np.unique([d[0] for d in draws])
+    ps = np.unique([d[1] for d in draws])
+    found = sieve._RootStage(As, int(ps[-1]) ** 2).run(ps)
+    got = {}
+    for row, root, m in zip(found.rows.tolist(), found.roots.tolist(), found.mods.tolist()):
+        got.setdefault((int(As[row]), m), set()).add(root)
     bad = sum(
-        roots != want or any((27 * b * b + 4 * A**3) % (p * p) for b in roots)
-        for roots, (A, p, want) in zip(got, draws)
+        (roots := got.get((A, p * p), set())) != want
+        or any((27 * b * b + 4 * A**3) % (p * p) for b in roots)
+        for A, p, want in draws
     )
     add(CheckResult("stripe_root_soundness_1e5", bad == 0, bad, f"{checked} samples"))
 

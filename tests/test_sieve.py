@@ -121,12 +121,35 @@ def test_three_divides_A_stripes_die():
 
 
 def test_mark_fills_three_divides_A_rows():
-    # the per-row reduction relies on this to drop the Delta = 0 pairs
-    cfg = sv.CountConfig(X=3)
-    Amax, Bmax = sv._box_bounds(cfg)
+    # stage 2 sieves no 3 | A stripe (9 | Delta, and every Delta = 0 pair
+    # lies there): each is summarized as (A, 0, 0, 0), in both modes
+    for cfg in (sv.CountConfig(X=3), sv.CountConfig(X=1.5, mode="smoothed")):
+        rows = sv._run_count(cfg).stripe_summaries
+        dead = [row for row in rows if row[0] % 3 == 0]
+        assert len(dead) == 2 * (sv._box_bounds(cfg)[0] // 3) + 1
+        assert all(row[1:] == (0, 0, 0) + (0.0,) * (cfg.mode == "smoothed") for row in dead)
+
+
+def test_mark_rows_match_value_bitmap():
+    """Every cell of stage 2 at X = 3: for each stripe with 3 not dividing
+    A and each odd B, the cell is marked iff |Delta| is not square-free,
+    decided by a square-free bitmap of the value range.  This covers the
+    p | A progressions, the roots mod p^2 < L, the lifted hits and the
+    cofactor scan at once (the oracles compare totals only)."""
+    Amax, Bmax = sv._box_bounds(sv.CountConfig(X=3))
+    lo, W = sv._odd_span(Bmax)
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
+    Bs = np.arange(lo, Bmax + 1, 2, dtype=np.int64)
+    assert Bs.size == W and Bs[-1] in (Bmax, Bmax - 1)
+    d = np.abs(4 * As[As % 3 != 0, None] ** 3 + 27 * Bs * Bs)
+    sf = np.ones(int(d.max()) + 1, dtype=bool)
+    for p in arith.primes_up_to(math.isqrt(sf.size - 1)):
+        sf[p * p :: p * p] = False
     marked = sv._mark_rows(As, Bmax)
     assert marked[As % 3 == 0].all()
+    want = ~sf[d]
+    assert 0 < want.sum() < want.size
+    assert (marked[As % 3 != 0] == want).all()
 
 
 def test_delta_zero_parametrization_excluded():
@@ -187,14 +210,15 @@ def test_naive_squarefree_count_cap(monkeypatch):
 def test_stripe_B_sum_invariant(monkeypatch):
     """B -> -B fixes Delta, so every stripe's survivors sum to 0; a count
     whose stage 2 breaks the symmetry is refused, naming the stripe."""
-    mark_row = sv._mark_row
+    marked_rows = sv._marked_rows
 
-    def flip_one(buf, A, Bmax, *rest):
-        mark_row(buf, A, Bmax, *rest)
-        if A == 1:
-            buf[Bmax + 1] ^= True  # (A, B) = (1, 1)
+    def flip_one(As, Bmax, *rest):
+        for i, buf in marked_rows(As, Bmax, *rest):
+            if As[i] == 1:
+                buf[(Bmax + 1) // 2] ^= True  # (A, B) = (1, 1)
+            yield i, buf
 
-    monkeypatch.setattr(sv, "_mark_row", flip_one)
+    monkeypatch.setattr(sv, "_marked_rows", flip_one)
     with pytest.raises(RuntimeError, match="stripe A = 1:"):
         sv.exact_count(sv.CountConfig(X=2))
     with pytest.raises(RuntimeError, match="stripe A = 1:"):
@@ -394,9 +418,25 @@ def test_sqrt_mod_p_matches_arith(rows):
 @kernel_settings
 @given(st.lists(st.tuples(prime, st.integers(-AMAX_8, AMAX_8)), max_size=32))
 def test_lift_and_stripe_roots_match_arith(pairs):
+    """Stage 1 (`_RootStage.run`) over the stripes with 3 not dividing A
+    and all the drawn primes: with Bmax >= max p^2 it returns no hits, each
+    root mod p^2 as a progression (stripe, R, p^2) and each p | A as
+    (stripe, 0, p).  Then the Hensel step alone, on every drawn pair."""
     pairs = [(p, A) for p, A in pairs if A % p]
     want = [roots_mod(stripe_radicand(A, p, 2), p, 2) for p, A in pairs]
-    assert sv.stripe_root_sets([A for _, A in pairs], [p for p, _ in pairs]) == want
+    live = [(p, A, roots) for (p, A), roots in zip(pairs, want) if A % 3]
+    if live:
+        As = np.unique([A for _, A, _ in live])
+        ps = np.unique([p for p, _, _ in live])
+        found = sv._RootStage(As, int(ps[-1]) ** 2).run(ps)
+        assert found.hits.size == 0
+        got = {}
+        for row, root, m in zip(found.rows.tolist(), found.roots.tolist(), found.mods.tolist()):
+            got.setdefault((int(As[row]), m), set()).add(root)
+        assert [got.get((A, p * p), set()) for p, A, _ in live] == [r for _, _, r in live]
+        divides = {(A, p) for A in As.tolist() for p in ps.tolist() if A % p == 0}
+        assert {key for key in got if key[1] in ps} == divides
+        assert all(got[key] == {0} for key in divides)
     # the Hensel step alone, from each scalar root mod p
     lifts = [
         (j, p, A, r0)
@@ -417,14 +457,16 @@ def test_lift_and_stripe_roots_match_arith(pairs):
 def test_mark_sampled_pairs_match_squarefree(X):
     """Completeness past the oracle's X = 4, in both directions: on seeded
     rows A, a marked cell has a square factor and a survivor is square-free,
-    decided by factorizing Delta.  Per row, 25 B are uniform and up to 25
-    are roots mod p^2 for primes sqrt(2 Bmax + 1) <= p <= 20 sqrt(2 Bmax + 1):
+    decided by factorizing Delta.  Per row, 25 odd B are uniform and up to
+    25 are odd roots mod p^2 for primes
+    sqrt(2 Bmax + 1) <= p <= 20 sqrt(2 Bmax + 1):
     the kernel marks one cell per such root, and uniform B almost never
     meet one.  Both stages run on the sampled rows alone, so their tables
     cover only those |A| and their factors."""
     cfg = sv.CountConfig(X=X)
     Amax, Bmax = sv._box_bounds(cfg)
     L = 2 * Bmax + 1
+    lo, W = sv._odd_span(Bmax)
     big = [p for p in arith.primes_up_to(20 * math.isqrt(L)) if p * p >= L]
     rng = np.random.default_rng(X)
     As = rng.choice([A for A in range(-Amax, Amax + 1) if A % 3], 4, replace=False)
@@ -437,23 +479,24 @@ def test_mark_sampled_pairs_match_squarefree(X):
             if A % p
             for root in roots_mod(stripe_radicand(A, p, 2), p, 2)
         ]
-        hits = [B for B in hits if B <= Bmax]
+        hits = [B for B in hits if B <= Bmax and B % 2]
         assert hits
-        Bs = rng.integers(-Bmax, Bmax + 1, 25).tolist()
+        Bs = (lo + 2 * rng.integers(0, W, 25)).tolist()
         Bs += rng.permutation(hits)[:25].tolist()
         for B in Bs:
             squarefree = arith.is_squarefree(sv.delta_value(A, B))
-            assert marked[row, B + Bmax] != squarefree, (A, B)
+            assert marked[row, (B - lo) // 2] != squarefree, (A, B)
             seen.add(squarefree)
     assert seen == {True, False}
 
 
 def test_large_prime_hits_match_delta_grid(monkeypatch):
     """The cofactor scan of the primes p >= L (`_RootStage.cofactor`)
-    against the Delta grid, on the cells stage 2 leaves to it (B odd, 3 not
-    dividing A).  In a count such hits are rare (none in the whole X = 4
-    box), so the boxes here have a short B range, where p^2 | Delta for
-    some p >= L often, with negative and large cofactors k = Delta / p^2.
+    against the Delta grid, on the cells of stage 2 (B odd, 3 not dividing
+    A), as flat indices stripe * W + (B - lo) / 2.  In a count such hits
+    are rare (none in the whole X = 4 box), so the boxes here have a short
+    B range, where p^2 | Delta for some p >= L often, with negative and
+    large cofactors k = Delta / p^2.
     In the second box max |A| > L, and p = L = 61 is a prime.  A small
     _TABLE splits each scan into many chunks."""
     for Amax, Bmax, ks in (
@@ -461,14 +504,15 @@ def test_large_prime_hits_match_delta_grid(monkeypatch):
         (200, 30, {-1765, -173, -125, -77, -53, -37, 31, 239, 367, 1351}),
     ):
         L = 2 * Bmax + 1
+        lo, W = sv._odd_span(Bmax)
         As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-        B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
+        B = np.arange(lo, Bmax + 1, 2, dtype=np.int64)
         d = 4 * As[:, None] ** 3 + 27 * B * B
         k = np.zeros(d.shape, dtype=np.int64)
         for p in arith.primes_up_to(math.isqrt(int(d.max()))):
             if p >= L:
                 k = np.where((d % (p * p) == 0) & (d != 0), d // (p * p), k)
-        hit = (k != 0) & (As[:, None] % 3 != 0) & (B % 2 != 0)
+        hit = (k != 0) & (As[:, None] % 3 != 0)
         assert set(k[hit].tolist()) == ks, (Amax, Bmax)
         for table in (sv._TABLE, 7):
             monkeypatch.setattr(sv, "_TABLE", table)

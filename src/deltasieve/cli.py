@@ -11,8 +11,11 @@ Headers (version, resolved flags, wall clock) and the elapsed seconds of
 ``count`` go to stderr; the payload (JSON or CSV) goes to stdout or --out
 and is byte-identical across reruns with the same flags and seed.
 
-Exit codes: 0 success, 1 assertion/guard failure, 2 usage error.
-The environment variable DELTASIEVE_MAX_SECONDS aborts long runs.
+Exit codes: 0 success, 1 assertion/guard failure, 2 usage error (bad
+arguments, a --seed below 0, a malformed --terms file).  The environment
+variable DELTASIEVE_MAX_SECONDS aborts long runs: one budget per suite
+run or per ``count`` list, which counts each X once and compares each
+count with its main term (``compare_main_term``).
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .density import (
     euler_product,
     paper_balance,
 )
-from .deadline import TimeBudgetExceeded
-from .sieve import CountConfig, compare_main_term
+from .deadline import Deadline, TimeBudgetExceeded
+from .sieve import CountConfig, compare_main_term, exact_count, smoothed_count
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -168,22 +171,20 @@ def _cmd_constant(args) -> int:
 
 def _cmd_count(args) -> int:
     try:
-        xs = [float(x) for x in args.X.split(",")]
-    except ValueError:
-        print(f"bad --X list: {args.X!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        for X in xs:
-            CountConfig(X=X, mode=args.mode, threads=args.threads)
+        cfgs = [
+            CountConfig(X=float(x), mode=args.mode, threads=args.threads)
+            for x in args.X.split(",")
+        ]
     except ValueError as exc:
         print(f"bad count arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    rows = compare_main_term(xs, mode=args.mode, threads=args.threads)
+    deadline = Deadline()  # one budget for the whole list
+    count = exact_count if args.mode == "exact" else smoothed_count
+    rows = compare_main_term([count(cfg, deadline) for cfg in cfgs])
     print(f"count: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     if args.format == "json":
-        payload = [asdict(r) for r in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(r) for r in rows], indent=2) + "\n", args.out)
     else:
         _emit(_rows_to_csv(rows), args.out)
     return EXIT_OK
@@ -192,26 +193,17 @@ def _cmd_count(args) -> int:
 def _parse_terms_file(path: str) -> list[ExponentTerm]:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, list) or not data:
-        raise ValueError("terms file must be a nonempty JSON list")
-    terms = []
-    for item in data:
-        terms.append(
-            ExponentTerm(
-                Fraction(str(item.get("const", 0))),
-                Fraction(str(item.get("t", 0))),
-                Fraction(str(item.get("kappa", 0))),
-                Fraction(str(item.get("t_kappa", 0))),
-            )
-        )
-    return terms
+    if not isinstance(data, list) or not data or not all(isinstance(d, dict) for d in data):
+        raise ValueError("terms file must be a nonempty JSON list of objects")
+    keys = ("const", "t", "kappa", "t_kappa")
+    return [ExponentTerm(*(Fraction(str(d.get(k, 0))) for k in keys)) for d in data]
 
 
 def _cmd_balance(args) -> int:
     if args.terms:
         try:
             terms = _parse_terms_file(args.terms)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, ZeroDivisionError) as exc:
             print(f"bad terms file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         res = balance_exponents(terms)
@@ -233,6 +225,13 @@ def _cmd_balance(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's generators need."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="deltasieve",
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["arith", "expsum", "characters", "oscint", "density", "sieve", "poisson", "all"],
     )
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--format", choices=["json", "csv", "text"], default="text")
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)

@@ -30,9 +30,9 @@ pass (`_twisted_roots`).  The twisted roots of all the needed n then
 follow by one product each along n = spf(n) (n / spf(n)) (`_root_table`).
 As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp root mod p is one
 product on that table (`_cusp_roots`), lifted to p^2 (`_lift_root`);
-it is 0 exactly where p | A.  The stage emits progressions of B
-(stripe, 0, p) where p | A and (stripe, root, p^2) where p^2 < L, and
-hits (stripe, odd B) for the roots mod the larger p^2.
+it is 0 exactly where p | A.  The stage emits progressions of B, 0 mod p
+where p | A and root mod p^2 where p^2 < L, as (stripe, first odd-B cell,
+stride), and hits (stripe, odd B) for the roots mod the larger p^2.
 
 The primes p >= L go by the cofactor, as the k > xi tail passes to the
 complementary factor (`_RootStage.cofactor`).  On the domain, Delta = 3
@@ -43,10 +43,9 @@ candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when that is an
 integer.  A prime p >= L that divides A marks only B = 0.
 
 Stage 2 (rows) marks one stripe at a time in a reused buffer of its W
-odd B (`_mark_row`): a progression B = r (mod m), m odd, is one stride m
-from the cell of its odd solution mod 2m, and a hit is one cell.  Each
-row then reduces to (count, sum B, sum B^2) over precomputed odd B and
-B^2 columns; a 3 | A stripe is (A, 0, 0, 0).
+odd B (`_mark_row`): a progression is one stride from its first cell,
+and a hit is one cell.  Each row then reduces to (count, sum B, sum B^2)
+over precomputed odd B and B^2 columns; a 3 | A stripe is (A, 0, 0, 0).
 
 A pool splits the prime blocks of stage 1 across its workers; their hits
 and the cofactor's are merged before stage 2.  Marking is idempotent, so
@@ -71,6 +70,7 @@ from .weights import decay_radius, gauss
 
 MAX_EXACT_X = 8.0
 SMOOTHED_CUTOFF = 1e-14
+MAIN_TERM_P = 10**5  # the prime bound of the main term's Euler product
 
 
 def delta_value(A: int, B: int) -> int:
@@ -411,13 +411,20 @@ def _odd_span(Bmax: int) -> tuple[int, int]:
     return 1 - 2 * h, 2 * h
 
 
+def _first_cell(r, lo: int, m):
+    """The first cell of the progression B = r (mod m), m odd, in a row of
+    the odd B from lo: the s in [0, m) with lo + 2 s = r (mod m)."""
+    d = (r - lo) % m
+    return (d + (d & 1) * m) // 2
+
+
 class _Found(NamedTuple):
     """Stage 1's output for some prime blocks: hits (stripe * W + column)
-    and progressions of B (stripe, root, odd modulus p or p^2 < L)."""
+    and progressions of B (stripe, `_first_cell`, modulus p or p^2 < L)."""
 
     hits: np.ndarray
     rows: np.ndarray
-    roots: np.ndarray
+    starts: np.ndarray
     mods: np.ndarray
 
 
@@ -456,7 +463,7 @@ class _RootStage:
         return [p[lo : lo + size] for lo in range(0, p.size, size)]
 
     def run(self, primes: np.ndarray) -> _Found:
-        """Per stripe and prime: the progression (stripe, 0, p) where p | A;
+        """Per stripe and prime: the progression B = 0 (mod p) where p | A;
         else both roots R, p^2 - R mod p^2, as progressions where p^2 < L
         and otherwise as at most one hit per root, at odd B."""
         pr = _Primes.of(primes)
@@ -468,7 +475,8 @@ class _RootStage:
             live = stripe >= 0
             k = np.flatnonzero((B0 == 0) & live)  # p | A: p^2 | Delta iff p | B
             i, c = np.divmod(k, B0.shape[1])
-            parts.append(_Found(_NONE, stripe[c], np.zeros_like(c), pr.p[i]))
+            p = pr.p[i]
+            parts.append(_Found(_NONE, stripe[c], _first_cell(0, self.lo, p), p))
             ok &= live
             k = np.flatnonzero(ok)
             i, c = np.divmod(k, B0.shape[1])
@@ -480,7 +488,8 @@ class _RootStage:
             B = (roots + self.Bmax) % p2 - self.Bmax
             one = ~few & (B <= self.Bmax) & (B % 2 == 1)
             hits = rows[one] * self.W + (B[one] - self.lo) // 2
-            parts.append(_Found(hits, rows[few], roots[few], p2[few]))
+            m = p2[few]
+            parts.append(_Found(hits, rows[few], _first_cell(roots[few], self.lo, m), m))
         return _merge(parts)
 
     def cofactor(self) -> _Found:
@@ -576,15 +585,13 @@ def _mark_row(buf: np.ndarray, starts, mods, cols):
 def _marked_rows(As: np.ndarray, Bmax: int, found: _Found, deadline: Deadline):
     """Stage 2: yields (i, buf) for each stripe As[i] with 3 not dividing A,
     buf marked by `_mark_row`.  The one buffer is reused: read it before the
-    next step.  A progression B = r (mod m) starts at the cell of its odd
-    solution, (r - lo) (m + 1) / 2 mod m."""
-    lo, W = _odd_span(Bmax)
-    hits, rows, roots, mods = found
+    next step."""
+    W = _odd_span(Bmax)[1]
+    hits, rows, starts, mods = found
     hits = np.sort(hits)
     hb = np.searchsorted(hits, np.arange(As.size + 1) * W).tolist()
     order = np.argsort(rows, kind="stable")
-    mods = mods[order]
-    starts = (roots[order] - lo) * ((mods + 1) // 2) % mods
+    starts, mods = starts[order], mods[order]
     sb = np.searchsorted(rows[order], np.arange(As.size + 1)).tolist()
     buf = np.empty(W, dtype=bool)
     for k, i in enumerate(np.flatnonzero(As % 3 != 0).tolist()):
@@ -620,8 +627,7 @@ def _check_int64_headroom(Amax: int, pmax: int):
         |k| p^2 <= Delta_max <= pmax^2 + 2 pmax, and hit indices
         stripe * W + column (W <= Bmax + 1 odd columns) are below
         (2 Amax + 1)(Bmax + 1) <= Delta_max;
-      * a progression's first cell (r - lo) (m + 1) / 2, r < m < L and
-        -lo <= Bmax, is below L^2 <= pmax^2."""
+      * a progression's first cell comes from (r - lo) mod m + m < 2 L."""
     if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
         raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
 
@@ -850,23 +856,17 @@ class MainTermRow:
     residual_over_X7: float
 
 
-def compare_main_term(
-    X_list: list[float],
-    mode: str = "exact",
-    threads: int = 1,
-    prime_bound: int = 10**5,
-) -> list[MainTermRow]:
-    """count (or weighted sum) against the main term 4 C X^10 (C X^10 smoothed)."""
-    deadline = Deadline()  # one budget for the whole list
-    const = euler_product(1, prime_bound)
-    lead = 4.0 if mode == "exact" else 1.0
+def compare_main_term(results: list[CountResult]) -> list[MainTermRow]:
+    """One row per count, in order: its count (or weighted sum) against the
+    main term 4 C X^10 (C X^10 smoothed), C = euler_product(1, MAIN_TERM_P)."""
+    const = euler_product(1, MAIN_TERM_P)
     rows = []
-    for X in X_list:
-        cfg = CountConfig(X=X, mode=mode, threads=threads)
-        res = (exact_count if mode == "exact" else smoothed_count)(cfg, deadline)
-        val = float(res.count if mode == "exact" else res.weighted)
+    for res in results:
+        X, exact = res.X, res.mode == "exact"
+        lead = 4.0 if exact else 1.0
+        val = float(res.count if exact else res.weighted)
         main_lo = lead * const.lo * X**10
         main_hi = lead * const.hi * X**10
         residual = val - lead * const.value * X**10
-        rows.append(MainTermRow(X, mode, val, main_lo, main_hi, residual, residual / X**7))
+        rows.append(MainTermRow(X, res.mode, val, main_lo, main_hi, residual, residual / X**7))
     return rows

@@ -45,10 +45,7 @@ class SuiteReport:
         return max((c.deviation for c in self.checks), default=0.0)
 
     def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.checks if not c.ok), None)
 
 
 def _tol(modulus: float) -> float:
@@ -184,15 +181,11 @@ def suite_density(seed: int = 0) -> SuiteReport:
             f"C1={e1.value:.15f} C2={e2.value:.15f}",
         )
     )
-    nest_ok = True
-    prev = None
-    for P in (10**5, 10**3, 100, 5):
-        r = e2 if P == 10**5 else density.euler_product(2, P)
-        if prev is not None and not (r.lo <= prev.lo and prev.hi <= r.hi):
-            nest_ok = False
-        if not (r.lo <= e2.value <= r.hi):
-            nest_ok = False
-        prev = r
+    # P = 10^5, 10^3, 100, 5: each interval holds the last and C2
+    nest = [e2] + [density.euler_product(2, P) for P in (10**3, 100, 5)]
+    nest_ok = all(r.lo <= e2.value <= r.hi for r in nest) and all(
+        r.lo <= prev.lo and prev.hi <= r.hi for prev, r in zip(nest, nest[1:])
+    )
     add(CheckResult("euler_product_nesting", nest_ok, 0.0))
 
     bad = [p for p in arith.primes_up_to(10**4) if p > 3 and not density.per_prime_identity(p)]
@@ -777,15 +770,22 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         )
     )
 
-    c1 = sieve.exact_count(sieve.CountConfig(X=1)).count
+    # one count per box, read by every check below; X = 4 runs a pool of
+    # up to 4 workers, the middle run of worker_determinism_1_4_16
+    def count(X, threads=1, mode="exact"):
+        cfg = sieve.CountConfig(X=X, mode=mode, threads=threads)
+        return (sieve.exact_count if mode == "exact" else sieve.smoothed_count)(cfg, deadline)
+
+    exact = {X: count(X, 4 if X == 4 else threads if X >= 3 else 1) for X in range(1, 7)}
+    smoothed = {X: count(X, threads if X == 4 else 1, "smoothed") for X in (2, 4)}
+
+    c1 = exact[1].count
     add(CheckResult("exact_count_X1_is_4", c1 == 4, abs(c1 - 4)))
     add(CheckResult("tiny_oracle_X1", sieve.naive_count_tiny(1) == 4, 0.0))
 
     bad = []
     for X in (1, 2, 3, 4):
-        got = sieve.exact_count(
-            sieve.CountConfig(X=X, threads=threads if X >= 3 else 1)
-        ).count
+        got = exact[X].count
         want = sieve.naive_squarefree_count(X)
         if got != want:
             bad.append((X, got, want))
@@ -820,7 +820,7 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
 
     # X=4 has 6 prime blocks, so with two or more CPUs the pool tasks hold
     # one block each and the workers' stage-1 hits are merged
-    runs = [sieve.exact_count(sieve.CountConfig(X=4, threads=t)) for t in (1, 4, 16)]
+    runs = [count(4, 1), exact[4], count(4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count
         and runs[0].stripe_digest == runs[1].stripe_digest == runs[2].stripe_digest
@@ -828,7 +828,7 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
     add(CheckResult("worker_determinism_1_4_16", same, 0.0, f"count={runs[0].count}"))
     deadline.check()
 
-    sm = sieve.smoothed_count(sieve.CountConfig(X=2, mode="smoothed")).weighted
+    sm = smoothed[2].weighted
     direct = sieve.naive_weighted_sum(2)
     rel = abs(sm - direct) / abs(direct)
     add(CheckResult("smoothed_X2_vs_direct_oracle", rel < 1e-10, rel, f"sum={sm:.6f}"))
@@ -856,13 +856,14 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         checked += len(want)
         draws.append((A, p, want))
     # one stage-1 pass over every drawn A and p; with Bmax >= max p^2 each
-    # root comes back as a progression (stripe, R, p^2)
+    # root R comes back as a progression mod p^2, from its first cell
     As = np.unique([d[0] for d in draws])
     ps = np.unique([d[1] for d in draws])
-    found = sieve._RootStage(As, int(ps[-1]) ** 2).run(ps)
+    stage = sieve._RootStage(As, int(ps[-1]) ** 2)
+    found = stage.run(ps)
     got = {}
-    for row, root, m in zip(found.rows.tolist(), found.roots.tolist(), found.mods.tolist()):
-        got.setdefault((int(As[row]), m), set()).add(root)
+    for row, start, m in zip(found.rows.tolist(), found.starts.tolist(), found.mods.tolist()):
+        got.setdefault((int(As[row]), m), set()).add((stage.lo + 2 * start) % m)
     bad = sum(
         (roots := got.get((A, p * p), set())) != want
         or any((27 * b * b + 4 * A**3) % (p * p) for b in roots)
@@ -870,14 +871,13 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
     )
     add(CheckResult("stripe_root_soundness_1e5", bad == 0, bad, f"{checked} samples"))
 
-    sm4 = sieve.smoothed_count(sieve.CountConfig(X=4, mode="smoothed", threads=threads))
-    rows = sieve.compare_main_term([3, 4, 5, 6], threads=threads)
+    rows = sieve.compare_main_term([exact[X] for X in (3, 4, 5, 6)])
     rep.artifacts["main_term_rows"] = rows
     main = {r.X: (r.main_lo + r.main_hi) / 2 for r in rows}  # 4 C X^10
     rel = {r.X: abs(r.count_or_sum / main[r.X] - 1.0) for r in rows}
     # smoothing shrinks the relative residual against the main term:
     # C X^10 for the weighted sum, 4 C X^10 for the exact count
-    rel_sm = abs(sm4.weighted / (main[4] / 4) - 1.0)
+    rel_sm = abs(smoothed[4].weighted / (main[4] / 4) - 1.0)
     add(
         CheckResult(
             "smoothed_X4_residual_below_exact",

@@ -22,6 +22,10 @@ def test_usage_error_exit_2():
     assert r.returncode == 2
     r = run_cli(["nonsense"])
     assert r.returncode == 2
+    # a negative seed, also for a suite that draws no random numbers
+    r = run_cli(["verify", "--suite", "density", "--seed", "-1"])
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_verify_density_json():
@@ -85,6 +89,12 @@ def test_count_csv(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[2]) == 4.0
+    # a smoothed list: its main term is C X^10, a quarter of the exact 4 C X^10
+    r = run_cli(["count", "--X", "1,1.5", "--mode", "smoothed"])
+    assert r.returncode == 0
+    rows = [line.split(",") for line in r.stdout.strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["1.0", "smoothed"], ["1.5", "smoothed"]]
+    assert 4 * float(rows[0][3]) == float(first[3])  # main_lo at X = 1
 
 
 def test_count_payload_deterministic_modulo_seconds(tmp_path):
@@ -124,8 +134,11 @@ def test_balance_terms_file(tmp_path):
     assert r.returncode == 0
     assert json.loads(r.stdout)["exponent"] == "6"
     bad = tmp_path / "bad.json"
-    bad.write_text("[]")
-    assert run_cli(["balance", "--terms", str(bad)]).returncode == 2
+    for text in ("[]", "[1, 2]", '[{"const": "1/0"}]'):
+        bad.write_text(text)
+        r = run_cli(["balance", "--terms", str(bad)])
+        assert r.returncode == 2, text
+        assert r.stdout == "" and "bad terms file: " in r.stderr, text
 
 
 def test_time_budget_guard():

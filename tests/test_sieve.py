@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltasieve import arith
+from deltasieve import arith, cli
 from deltasieve import sieve as sv
 from deltasieve.deadline import TimeBudgetExceeded
 
@@ -91,15 +91,17 @@ def test_pool_is_bounded(monkeypatch):
     assert sizes == []
 
 
-def test_deadline_stops_count(monkeypatch):
+def test_deadline_stops_count(monkeypatch, capsys):
     """An expired budget stops a count in one process and in a pool (whose
-    workers raise it from their first prime block), and a list of counts."""
+    workers raise it from their first prime block), and a list of counts
+    (`count --X 1,2`, one budget for the list): exit 1, no payload."""
     monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
     for threads in (1, 2):
         with pytest.raises(TimeBudgetExceeded):
             sv.exact_count(sv.CountConfig(X=3, threads=threads))
-    with pytest.raises(TimeBudgetExceeded):
-        sv.compare_main_term([1, 2], prime_bound=10**3)
+    assert cli.main(["count", "--X", "1,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "aborted: DELTASIEVE_MAX_SECONDS" in err
 
 
 def test_exact_count_x1():
@@ -299,9 +301,8 @@ def test_smoothed_vs_direct():
 
 
 def test_compare_main_term_row():
-    rows = sv.compare_main_term([1], prime_bound=10**3)
-    r = rows[0]
-    assert r.count_or_sum == 4
+    (r,) = sv.compare_main_term([sv.exact_count(sv.CountConfig(X=1))])
+    assert (r.X, r.mode, r.count_or_sum) == (1, "exact", 4)
     assert r.main_lo <= r.main_hi
     mid = (r.main_lo + r.main_hi) / 2
     assert r.residual == pytest.approx(4 - mid, abs=1e-6)
@@ -420,19 +421,21 @@ def test_sqrt_mod_p_matches_arith(rows):
 def test_lift_and_stripe_roots_match_arith(pairs):
     """Stage 1 (`_RootStage.run`) over the stripes with 3 not dividing A
     and all the drawn primes: with Bmax >= max p^2 it returns no hits, each
-    root mod p^2 as a progression (stripe, R, p^2) and each p | A as
-    (stripe, 0, p).  Then the Hensel step alone, on every drawn pair."""
+    root R mod p^2 as a progression mod p^2 and each p | A as one mod p
+    with R = 0 (R = lo + 2 start mod m).  Then the Hensel step alone, on
+    every drawn pair."""
     pairs = [(p, A) for p, A in pairs if A % p]
     want = [roots_mod(stripe_radicand(A, p, 2), p, 2) for p, A in pairs]
     live = [(p, A, roots) for (p, A), roots in zip(pairs, want) if A % 3]
     if live:
         As = np.unique([A for _, A, _ in live])
         ps = np.unique([p for p, _, _ in live])
-        found = sv._RootStage(As, int(ps[-1]) ** 2).run(ps)
+        stage = sv._RootStage(As, int(ps[-1]) ** 2)
+        found = stage.run(ps)
         assert found.hits.size == 0
         got = {}
-        for row, root, m in zip(found.rows.tolist(), found.roots.tolist(), found.mods.tolist()):
-            got.setdefault((int(As[row]), m), set()).add(root)
+        for row, start, m in zip(found.rows.tolist(), found.starts.tolist(), found.mods.tolist()):
+            got.setdefault((int(As[row]), m), set()).add((stage.lo + 2 * start) % m)
         assert [got.get((A, p * p), set()) for p, A, _ in live] == [r for _, _, r in live]
         divides = {(A, p) for A in As.tolist() for p in ps.tolist() if A % p == 0}
         assert {key for key in got if key[1] in ps} == divides

@@ -231,20 +231,26 @@ def _mu_segments(lo: int, hi: int):
         yield a, mobius_range(a, b)
 
 
+def _class_sums(lo: int, hi: int, q1: int, w: float, coprime_to: int) -> np.ndarray:
+    """sums[k] = sum of mu(n) e(w n) over lo <= n <= hi with n = k (mod q1)
+    and (n, coprime_to) = 1, accumulated in order of n from a sieved mu
+    table (segmented past 2^22 so the 1e8 range cap stays within memory)."""
+    sums = np.zeros(q1, dtype=complex)
+    for start, mu in _mu_segments(lo, hi):
+        n = np.arange(start, start + mu.size, dtype=np.int64)
+        vals = mu.astype(np.float64) * (np.gcd(n, coprime_to) == 1)
+        vals = vals * np.exp(2j * np.pi * ((w * n) % 1.0))
+        np.add.at(sums, n % q1, vals)
+    return sums
+
+
 def ap_mobius_sum(spec: APMobiusSumSpec) -> complex:
-    """Direct evaluation of S_j(s, w) from a sieved mu table (segmented
-    past 2^22 so the 1e8 range cap stays within memory)."""
+    """Direct evaluation of S_j(s, w): one class of `_class_sums`."""
     lo = int(math.floor(spec.L)) + 1
     hi = int(math.floor(spec.s))
     if hi < lo:
         return 0j
-    total = 0j
-    for start, mu in _mu_segments(lo, hi):
-        n = np.arange(start, start + mu.size, dtype=np.int64)
-        keep = (n % spec.q1 == spec.j % spec.q1) & (np.gcd(n, spec.coprime_to) == 1)
-        phase = np.exp(2j * np.pi * ((spec.w * n[keep]) % 1.0))
-        total += complex(np.sum(mu[keep].astype(np.float64) * phase))
-    return total
+    return complex(_class_sums(lo, hi, spec.q1, spec.w, spec.coprime_to)[spec.j % spec.q1])
 
 
 def dirichlet_approximation(w: float, R: int) -> tuple[int, int, float]:
@@ -295,10 +301,11 @@ def _bucket_matrix(hi, q1, r_mod, coprime_to):
     return W
 
 
-def decomposition_check(
-    q1: int, j: int, a: int, r: int, s: int, coprime_to: int = 6
-) -> DecompositionResult:
-    """Check the character decomposition of S_j(s, a/r) at one parameter point.
+def decomposition_sweep(
+    q1: int, r: int, s: int, coprime_to: int = 6
+) -> dict[tuple[int, int], DecompositionResult]:
+    """Check the character decomposition of S_j(s, a/r) at every unit class
+    j mod q1 and a mod r (1 <= j <= q1, 1 <= a <= r), keyed by (j, a).
 
     direct:  sum over n <= s, n = j (q1), (n, C) = 1 of mu(n) e(a n / r).
     reconstructed: expansion over chi mod q1, divisors f | r and chi1 mod r/f,
@@ -308,25 +315,13 @@ def decomposition_check(
         sum_{n1 <= s/f} mu(n1) chi(n1) chi0(n1) conj(chi1)(n1)
 
     with chi0 principal mod C f.  (The n1-factor is conj(chi1), which is
-    what the e(a n1 / r1) expansion produces.)
+    what the e(a n1 / r1) expansion produces.)  The inner sums are shared
+    by all classes.
     """
-    res = decomposition_sweep(q1, r, s, coprime_to, js=(j,), As=(a,))
-    return res[(j, a)]
-
-
-def decomposition_sweep(
-    q1: int,
-    r: int,
-    s: int,
-    coprime_to: int = 6,
-    js: tuple[int, ...] | None = None,
-    As: tuple[int, ...] | None = None,
-) -> dict[tuple[int, int], DecompositionResult]:
-    """decomposition_check over all (j, a) classes at once (shared inner sums)."""
     if q1 > 20 or r > 12 or s > 10**4:
         raise ValueError("caps: q1 <= 20, r <= 12, s <= 10^4")
-    js = js or tuple(j for j in range(1, q1 + 1) if math.gcd(j, q1) == 1)
-    As = As or tuple(a for a in range(1, r + 1) if math.gcd(a, r) == 1)
+    js = tuple(j for j in range(1, q1 + 1) if math.gcd(j, q1) == 1)
+    As = tuple(a for a in range(1, r + 1) if math.gcd(a, r) == 1)
     chis = character_table(q1)
     chi_tabs = np.array([c.table() for c in chis])  # [i, n] = chi_i(n)
     phi_q1 = euler_phi(q1)
@@ -392,9 +387,9 @@ def sj_cancellation_scan(
     q1_values: tuple[int, ...],
     s_values: tuple[int, ...],
     w_values: tuple[float, ...],
-    coprime_to: int = 6,
 ) -> list[SjRow]:
-    """sum_j |S_j(s, w)| against q1^(1/2) s^(5/6); observational only."""
+    """sum_j |S_j(s, w)| against q1^(1/2) s^(5/6), with (n, 6) = 1;
+    observational only."""
     rows = []
     for q1 in q1_values:
         if q1 > 50:
@@ -403,12 +398,7 @@ def sj_cancellation_scan(
             if s > 10**7:
                 raise ValueError("s cap is 10^7 in the scan")
             for w in w_values:
-                sums = np.zeros(q1, dtype=complex)
-                for start, mu in _mu_segments(1, s):
-                    n = np.arange(start, start + mu.size, dtype=np.int64)
-                    vals = mu.astype(np.float64) * (np.gcd(n, coprime_to) == 1)
-                    vals = vals * np.exp(2j * np.pi * ((w * n) % 1.0))
-                    np.add.at(sums, n % q1, vals)
+                sums = _class_sums(1, s, q1, w, 6)
                 tot = float(
                     sum(
                         abs(sums[j % q1])

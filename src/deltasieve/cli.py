@@ -12,7 +12,9 @@ Headers (version, resolved flags, wall clock) and the elapsed seconds of
 and is byte-identical across reruns with the same flags and seed.
 
 Exit codes: 0 success, 1 assertion/guard failure, 2 usage error (bad
-arguments, a --seed below 0, a malformed --terms file).  The environment
+arguments, a --seed below 0, a count X below 1, a malformed --terms file
+or one with an unknown key, a DELTASIEVE_MAX_SECONDS that is not a finite
+number >= 0, an --out path that cannot be written).  The environment
 variable DELTASIEVE_MAX_SECONDS aborts long runs: one budget per suite
 run or per ``count`` list, which counts each X once and compares each
 count with its main term (``compare_main_term``).
@@ -49,12 +51,20 @@ EXIT_USAGE = 2
 MAX_PRIME_BOUND = 10**8
 
 
+class UsageError(Exception):
+    """A usage error found after parsing, such as an --out path that cannot
+    be opened; `main` prints it and exits 2."""
+
+
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _header(args: argparse.Namespace):
@@ -85,9 +95,7 @@ def _emit_artifacts(reports, out: str | None):
     for rep in reports:
         for name, rows in rep.artifacts.items():
             if name.endswith("_rows") and rows:
-                path = f"{out}.{rep.suite}.{name}.csv"
-                with open(path, "w") as fh:
-                    fh.write(_rows_to_csv(rows))
+                _emit(_rows_to_csv(rows), f"{out}.{rep.suite}.{name}.csv")
 
 
 def _cmd_verify(args) -> int:
@@ -196,6 +204,10 @@ def _parse_terms_file(path: str) -> list[ExponentTerm]:
     if not isinstance(data, list) or not data or not all(isinstance(d, dict) for d in data):
         raise ValueError("terms file must be a nonempty JSON list of objects")
     keys = ("const", "t", "kappa", "t_kappa")
+    for d in data:
+        for k in d:
+            if k not in keys:
+                raise ValueError(f"unknown key {k!r}")
     return [ExponentTerm(*(Fraction(str(d.get(k, 0))) for k in keys)) for d in data]
 
 
@@ -207,11 +219,8 @@ def _cmd_balance(args) -> int:
             print(f"bad terms file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         res = balance_exponents(terms)
-    elif args.preset == "paper":
-        res = paper_balance()
     else:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return EXIT_USAGE
+        res = paper_balance()
     payload = {
         "t": str(res.t),
         "kappa": str(res.kappa),
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=_cmd_count)
 
     b = sub.add_parser("balance", help="minimax of the error-term exponents")
-    b.add_argument("--preset", default="paper")
+    b.add_argument("--preset", choices=["paper"], default="paper")
     b.add_argument("--terms", default=None, help="JSON file of exponent terms")
     b.add_argument("--out", default=None)
     b.set_defaults(func=_cmd_balance)
@@ -280,7 +289,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     _header(args)
     try:
+        Deadline()  # reject a malformed DELTASIEVE_MAX_SECONDS before any work
+    except ValueError as exc:
+        print(f"bad DELTASIEVE_MAX_SECONDS: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except TimeBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_FAIL

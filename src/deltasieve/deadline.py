@@ -4,10 +4,13 @@ DELTASIEVE_MAX_SECONDS, when set, is the budget in seconds of one guarded
 computation: a verification suite, or one `count` invocation with all its
 X values.  The guard is checked at coarse points (once per check group,
 prime block or 256 stripes), so a run stops shortly after the budget.
+A set value must be a finite number >= 0 (the CLI exits 2 otherwise); an
+empty value means unset.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -20,12 +23,15 @@ class Deadline:
     """Global runtime guard driven by DELTASIEVE_MAX_SECONDS.
 
     The clock is time.monotonic, which pool workers share with the process
-    that started them, so a Deadline can be handed to a worker."""
+    that started them, so a Deadline can be handed to a worker.  A set
+    value that is not a finite number >= 0 raises ValueError."""
 
     def __init__(self):
-        budget = os.environ.get("DELTASIEVE_MAX_SECONDS")
+        text = os.environ.get("DELTASIEVE_MAX_SECONDS")
         self.t0 = time.monotonic()
-        self.budget = float(budget) if budget else None
+        self.budget = float(text) if text else None
+        if self.budget is not None and not (math.isfinite(self.budget) and self.budget >= 0):
+            raise ValueError(f"need a finite number >= 0, got {text!r}")
 
     def check(self):
         if self.budget is not None and time.monotonic() - self.t0 > self.budget:

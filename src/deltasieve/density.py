@@ -11,9 +11,9 @@ equal (the p = 2, 3 factors contribute exactly 1/3).
 
 `euler_product` runs its prime loop on integers scaled by 2^K, rounded
 down at each step, and hands them to mpmath once.  Each is off by less
-than (number of primes) units of 2^-K, below 2^-221 for P <= 10^8 at the
-default dps = 30: far under the 10^(5 - dps) slack of the certified tail
-interval and under mpmath's own dps + 15 working digits.
+than (number of primes) units of 2^-K, below 2^-221 for P <= 10^8 at
+dps = EULER_DPS = 30: far under the 10^(5 - dps) slack of the certified
+tail interval and under mpmath's own dps + 15 working digits.
 """
 
 from __future__ import annotations
@@ -29,19 +29,10 @@ from .arith import is_prime, mobius_table, phi_table, prime_sieve, primes_up_to
 SIGMA_CAP = 10**4
 _SEGMENT = 1 << 20  # width of each step of the Euler product's walk over its prime bitmap
 SIGMA_STRUCTURED_CAP = 500
+EULER_DPS = 30  # decimal digits of the Euler product's certified interval
 
 
-@dataclass(frozen=True)
-class LocalDensity:
-    q: int
-    sigma: int
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.sigma, self.q**4)
-
-
-def sigma(q: int) -> LocalDensity:
+def sigma(q: int) -> int:
     """Exact count of (alpha, beta) mod q with 4 alpha^3 + 27 beta^2 = 0 (mod q).
 
     Enumerates all q^2 pairs, grouped by the value of 27 beta^2 mod q.
@@ -51,10 +42,10 @@ def sigma(q: int) -> LocalDensity:
     b = np.arange(q, dtype=np.int64)
     counts = np.bincount(27 * (b * b % q) % q, minlength=q)
     a3 = (-4 * (b * b % q * b % q)) % q
-    return LocalDensity(q, int(counts[a3].sum()))
+    return int(counts[a3].sum())
 
 
-def sigma_pair_bruteforce(q: int) -> LocalDensity:
+def sigma_pair_bruteforce(q: int) -> int:
     """Oracle for sigma(): the literal test (4 alpha^3 + 27 beta^2) % q == 0
     on every pair, over one q x q int64 grid.  The values stay below 2^33
     for q <= 1000, and nothing is shared with sigma()'s bincount grouping."""
@@ -62,10 +53,10 @@ def sigma_pair_bruteforce(q: int) -> LocalDensity:
         raise ValueError("pair-grid oracle capped at q = 1000")
     a = np.arange(q, dtype=np.int64)
     grid = (4 * a[:, None] ** 3 + 27 * a[None, :] ** 2) % q
-    return LocalDensity(q, int(np.count_nonzero(grid == 0)))
+    return int(np.count_nonzero(grid == 0))
 
 
-def sigma_prime_square_structured(p: int) -> LocalDensity:
+def sigma_prime_square_structured(p: int) -> int:
     """sigma(p^2) for p > 3 via the unit/cubic-residue structure.
 
     Pairs with p | alpha, p | beta all satisfy the congruence (p^2 of them);
@@ -89,7 +80,7 @@ def sigma_prime_square_structured(p: int) -> LocalDensity:
             t = c0 * (beta * beta % p2) % p2
             if pow(t, exp, p2) == 1:
                 unit_pairs += 3
-    return LocalDensity(p2, p2 + unit_pairs)
+    return p2 + unit_pairs
 
 
 def per_prime_identity(p: int) -> bool:
@@ -117,9 +108,7 @@ class EulerProductResult:
     hi: float
 
 
-def _tail_log_interval(
-    P: int, dps: int, head2: mp.mpf, head3: mp.mpf
-) -> tuple[mp.mpf, mp.mpf]:
+def _tail_log_interval(P: int, head2: mp.mpf, head3: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     """[lo, hi] enclosing -log prod_{p > P} (1 - (2p-1)/p^3).
 
     head2 and head3 are sum_{p <= P} p^-2 and p^-3.  The first-order part
@@ -130,11 +119,11 @@ def _tail_log_interval(
     main = 2 * (mp.primezeta(2) - head2) - (mp.primezeta(3) - head3)
     # x_p = (2p-1)/p^3 < 2/p^2; sum_{p>P} x_p^2 / (2 (1-x_p)) <= 2.2 sum p^-4
     rem_hi = mp.mpf("2.2") * (mp.mpf(1) / (3 * P**3) + mp.mpf(P) ** -4)
-    slack = mp.mpf(10) ** (5 - dps)
+    slack = mp.mpf(10) ** (5 - EULER_DPS)
     return main - slack, main + rem_hi + slack
 
 
-def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProductResult:
+def euler_product(theorem: int, prime_bound: int) -> EulerProductResult:
     """The main-term constant as a certified interval.
 
     theorem 1: prod_{p <= P} (1 - sigma(p^2)/p^4), sigma by enumeration for
@@ -146,11 +135,11 @@ def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProduct
     partial product and the heads sum_{p <= P} p^-2 and p^-3 of the
     tail's prime zeta sums.  Each step rounds down (the product's factor
     is at most 1, so its error does not grow), so each integer is off by
-    less than (number of primes) units of 2^-K.  With K = 4 (dps + 15) +
-    64 and at most 5.8e6 primes (P <= 10^8) that is below 2^-221, far
-    under both the slack 10^(5 - dps) added to the tail interval and the
-    dps + 15 working digits of the mpmath stage (primezeta, remainder
-    bound, exp), where the integers become mpf once.
+    less than (number of primes) units of 2^-K.  With dps = EULER_DPS,
+    K = 4 (dps + 15) + 64 and at most 5.8e6 primes (P <= 10^8) that is
+    below 2^-221, far under both the slack 10^(5 - dps) added to the tail
+    interval and the dps + 15 working digits of the mpmath stage
+    (primezeta, remainder bound, exp), where the integers become mpf once.
 
     The primes are read from one prime bitmap in 2^20-wide segments, so at
     P = 10^8 the 5.76 M primes never exist as one list of ints.
@@ -159,7 +148,7 @@ def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProduct
         raise ValueError("theorem must be 1 or 2")
     if prime_bound < 5:
         raise ValueError("prime bound must be >= 5")
-    K = 4 * (dps + 15) + 64
+    K = 4 * (EULER_DPS + 15) + 64
     one = 1 << K
     num, head2, head3 = one, 0, 0
     is_p = prime_sieve(prime_bound)
@@ -168,18 +157,18 @@ def euler_product(theorem: int, prime_bound: int, dps: int = 30) -> EulerProduct
             p2 = p * p
             p3 = p2 * p
             if theorem == 1:
-                s = sigma(p2).sigma if p <= 100 else 2 * p2 - p
+                s = sigma(p2) if p <= 100 else 2 * p2 - p
                 num -= num * s // (p2 * p2)
             elif p > 3:
                 num -= num * (2 * p - 1) // p3
             head2 += one // p2
             head3 += one // p3
-    with mp.workdps(dps + 15):
+    with mp.workdps(EULER_DPS + 15):
         partial = mp.ldexp(mp.mpf(num), -K)
         if theorem == 2:
             partial /= 3
         log_lo, log_hi = _tail_log_interval(
-            prime_bound, dps, mp.ldexp(mp.mpf(head2), -K), mp.ldexp(mp.mpf(head3), -K)
+            prime_bound, mp.ldexp(mp.mpf(head2), -K), mp.ldexp(mp.mpf(head3), -K)
         )
         hi = partial * mp.e ** (-log_lo)
         lo = partial * mp.e ** (-log_hi)
@@ -235,9 +224,6 @@ class ExponentTerm:
     def __call__(self, t: Fraction, kappa: Fraction) -> Fraction:
         return self.const + self.ct * t + self.ck * kappa + self.ctk * t * kappa
 
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return float(self.const), float(self.ct), float(self.ck), float(self.ctk)
-
 
 def paper_terms() -> list[ExponentTerm]:
     """The seven competing error exponents in X (with xi = X^t):
@@ -261,6 +247,10 @@ PAPER_T = Fraction(124, 27)
 PAPER_KAPPA = Fraction(16, 31)
 PAPER_EXPONENT = Fraction(184, 27)  # = 7 - 5/27
 
+# the balancer's search box 0 < t <= BALANCE_T_MAX and its grid step
+BALANCE_T_MAX = Fraction(10)
+BALANCE_STEP = Fraction(1, 1000)
+
 
 @dataclass(frozen=True)
 class BalanceResult:
@@ -272,32 +262,26 @@ class BalanceResult:
     grid_kappa: float
 
 
-def evaluate_max(terms: list[ExponentTerm], t: Fraction, kappa: Fraction) -> Fraction:
-    return max(term(t, kappa) for term in terms)
-
-
 def balance_exponents(
     terms: list[ExponentTerm] | None = None,
-    t_max: Fraction = Fraction(10),
-    grid_step: Fraction = Fraction(1, 1000),
     start: tuple[Fraction, Fraction] | None = None,
 ) -> BalanceResult:
-    """Minimax of max_i e_i(t, kappa) over 0 < t <= t_max, 0 < kappa < 1.
+    """Minimax of max_i e_i(t, kappa) over 0 < t <= BALANCE_T_MAX, 0 < kappa < 1.
 
-    A float grid at ``grid_step`` locates the minimum; the winner (and the
+    A float grid at BALANCE_STEP locates the minimum; the winner (and the
     analytic point, when given as ``start``) is re-evaluated exactly in
     rational arithmetic.
     """
     terms = terms if terms is not None else paper_terms()
     if not terms:
         raise ValueError("need at least one term")
-    step = float(grid_step)
-    ts = np.arange(step, float(t_max) + step / 2, step)
+    step = float(BALANCE_STEP)
+    ts = np.arange(step, float(BALANCE_T_MAX) + step / 2, step)
     ks = np.arange(step, 1.0, step)
     best = np.full(ts.shape, np.inf)
     best_k = np.zeros(ts.shape)
     # sweep kappa; keep the best kappa per t (memory stays O(grid))
-    consts = [term.as_floats() for term in terms]
+    consts = [(float(e.const), float(e.ct), float(e.ck), float(e.ctk)) for e in terms]
     for k in ks:
         cur = np.full(ts.shape, -np.inf)
         for c0, ct, ck, ctk in consts:
@@ -310,9 +294,9 @@ def balance_exponents(
     if start is not None:
         t0, k0 = start
     else:
-        t0 = Fraction(round(grid_t / step)) * grid_step
-        k0 = Fraction(round(grid_kappa / step)) * grid_step
-    exact = evaluate_max(terms, t0, k0)
+        t0 = Fraction(round(grid_t / step)) * BALANCE_STEP
+        k0 = Fraction(round(grid_kappa / step)) * BALANCE_STEP
+    exact = max(term(t0, k0) for term in terms)
     return BalanceResult(t0, k0, exact, grid_best, grid_t, grid_kappa)
 
 

@@ -33,6 +33,10 @@ MAX_BRUTE_MODULUS = 10**7
 
 # identity checks pass at absolute error TOL_SCALE * (modulus + 1)
 TOL_SCALE = 1e-8
+# the first Poisson check sums the weights out to where they fall below
+# POISSON_CUTOFF; the second stops its u-sum by |u| <= POISSON_U_CAP
+POISSON_CUTOFF = 1e-14
+POISSON_U_CAP = 2000
 
 
 def _unit_circle(num: np.ndarray, den: int) -> np.ndarray:
@@ -40,11 +44,9 @@ def _unit_circle(num: np.ndarray, den: int) -> np.ndarray:
     return np.exp((2j * np.pi / den) * (np.asarray(num, dtype=np.int64) % den))
 
 
-def e_frac(theta: Fraction | float) -> complex:
-    """e(theta) = exp(2 pi i theta); Fractions are reduced mod 1 exactly."""
-    if isinstance(theta, Fraction):
-        theta = float(theta % 1)
-    return complex(np.exp(2j * np.pi * theta))
+def e_frac(theta: Fraction) -> complex:
+    """e(theta) = exp(2 pi i theta), with theta reduced mod 1 exactly."""
+    return complex(np.exp(2j * np.pi * float(theta % 1)))
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,6 @@ class PhasePolynomial:
             if self.coeffs[i] != 0:
                 return i + 1
         return 0
-
-
-def phase_E(c: int, d: int, q: int) -> PhasePolynomial:
-    """Phase of E(c, d; q): c z^3 - d z^2 on units."""
-    return PhasePolynomial((0, -d, c), q, coprime_only=True)
-
-
-def phase_F(c3: int, c2: int, c1: int, r: int) -> PhasePolynomial:
-    """Phase of F(c3, c2, c1; r): unrestricted cubic sum."""
-    return PhasePolynomial((c1, c2, c3), r, coprime_only=False)
 
 
 @dataclass(frozen=True)
@@ -119,13 +111,13 @@ def raw_phase_sum(p: PhasePolynomial) -> ExpSumValue:
 
 
 def E_sum(c: int, d: int, q: int) -> ExpSumValue:
-    """E(c, d; q) by brute force."""
-    return raw_phase_sum(phase_E(c, d, q))
+    """E(c, d; q) by brute force: the phase c z^3 - d z^2 on units."""
+    return raw_phase_sum(PhasePolynomial((0, -d, c), q, coprime_only=True))
 
 
 def F_sum(c3: int, c2: int, c1: int, r: int) -> ExpSumValue:
-    """F(c3, c2, c1; r) by brute force."""
-    return raw_phase_sum(phase_F(c3, c2, c1, r))
+    """F(c3, c2, c1; r) by brute force: the unrestricted cubic sum."""
+    return raw_phase_sum(PhasePolynomial((c1, c2, c3), r))
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +160,6 @@ class CongruenceFrame:
         return d, m // d, self.l // d
 
 
-@dataclass(frozen=True)
-class DoubleSumSpec:
-    frame: CongruenceFrame
-    m: int
-    n: int
-
-
 @lru_cache(maxsize=128)
 def cal_E_solutions(frame: CongruenceFrame) -> tuple[np.ndarray, np.ndarray]:
     """Unit pairs (c, d) mod l^2 with a^3 c^2 + b^2 h d^3 = 0 (mod l^2)."""
@@ -197,14 +182,14 @@ def cal_E_solutions(frame: CongruenceFrame) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
 
 
-def cal_E(spec: DoubleSumSpec) -> ExpSumValue:
+def cal_E(frame: CongruenceFrame, m: int, n: int) -> ExpSumValue:
     """calE(m, n; l^2), the two-variable sum, by brute force."""
-    l2 = spec.frame.l ** 2
-    cs, ds = cal_E_solutions(spec.frame)
-    ph = (cs * spec.m + ds * spec.n) % l2
-    n = int(cs.size)
-    val = complex(_unit_circle(ph, l2).sum()) if n else 0j
-    return ExpSumValue(val, _sum_error(n), n)
+    l2 = frame.l ** 2
+    cs, ds = cal_E_solutions(frame)
+    ph = (cs * m + ds * n) % l2
+    size = int(cs.size)
+    val = complex(_unit_circle(ph, l2).sum()) if size else 0j
+    return ExpSumValue(val, _sum_error(size), size)
 
 
 def E_arguments(frame: CongruenceFrame, m: int, n: int) -> tuple[int, int]:
@@ -241,12 +226,9 @@ def evaluate_E_explicit(frame: CongruenceFrame, m: int, n: int) -> ExpSumValue:
         g = gauss_f(a**3 * b**2 * h * n2, d2)
         val = d * euler_phi(e) * g if e >= 1 else 0j
         return ExpSumValue(val, 1e-14 * abs(val) + 1e-16, d * euler_phi(e))
-    # residual modulus-d factor, twisted by the inverse of l1^2 mod d
     if d > 1:
-        linv = pow(l1, -1, d)
-        cd = a**3 * b**4 * h**2 * m1 * linv * linv
-        dd = a**3 * b**2 * h * n1 * linv * linv
-        ed = E_sum(cd, dd, d)
+        c, e = _residual_coeffs(a, b, h, m1, l1, d)
+        ed = E_sum(c, e * n1, d)
     else:
         ed = ExpSumValue(1 + 0j, 0.0, 1)
     big = k3**3 * h * d * m1 * m1
@@ -425,16 +407,22 @@ class CrtSplitResult:
     delta2: float
     modulus: int
 
-    def ok(self, tol_scale: float = TOL_SCALE) -> bool:
-        tol = tol_scale * (self.modulus + 1)
+    def ok(self) -> bool:
+        tol = TOL_SCALE * (self.modulus + 1)
         return self.delta1 <= tol and self.delta2 <= tol
 
 
-def _residual_table(a: int, b: int, h: int, m1: int, l1: int, d: int) -> list[complex]:
-    """E(a^3 b^4 h^2 m1 l1bar^2, a^3 b^2 h w l1bar^2; d) for w mod d, with
-    l1bar = l1^-1 mod d."""
+def _residual_coeffs(a: int, b: int, h: int, m1: int, l1: int, d: int) -> tuple[int, int]:
+    """(c, e) with E(c, e w; d) = E(a^3 b^4 h^2 m1 l1bar^2, a^3 b^2 h w l1bar^2; d),
+    l1bar = l1^-1 mod d: the residual modulus-d factor of the explicit
+    evaluation, twisted by the inverse of l1^2 mod d."""
     li = pow(l1 * l1, -1, d)
-    c, e = a**3 * b**4 * h**2 * m1 * li, a**3 * b**2 * h * li
+    return a**3 * b**4 * h**2 * m1 * li, a**3 * b**2 * h * li
+
+
+def _residual_table(a: int, b: int, h: int, m1: int, l1: int, d: int) -> list[complex]:
+    """The residual factor E(c, e w; d) of `_residual_coeffs` for w mod d."""
+    c, e = _residual_coeffs(a, b, h, m1, l1, d)
     return [E_sum(c, e * w, d).value for w in range(d)]
 
 
@@ -569,7 +557,6 @@ def poisson_second_check(
     d: int,
     l1: int,
     X: float,
-    u_cap: int = 2000,
 ) -> PoissonCheckResult:
     """Two-sided check of the second Poisson application (m* = mtilde = 1).
 
@@ -583,7 +570,7 @@ def poisson_second_check(
 
     The u-sum is truncated once A + 8 consecutive blocks (u and -u) fall
     to at most 1e-12 of the running total (deterministic rule), capped at
-    u_cap.
+    POISSON_U_CAP.
     """
     from .oscint import I_eval, OscillatoryProblem
 
@@ -619,7 +606,7 @@ def poisson_second_check(
     total = 0j
     small = 0
     u = 0
-    while u <= u_cap:
+    while u <= POISSON_U_CAP:
         block = 0j
         for uu in {u, -u}:
             alpha = l1 * l1 * uu / (X**4 * k3 * k3)
@@ -633,16 +620,12 @@ def poisson_second_check(
             break
         u += 1
     else:
-        raise ValueError(f"u-sum did not decay within |u| <= {u_cap}")
+        raise ValueError(f"u-sum did not decay within |u| <= {POISSON_U_CAP}")
     rhs = scale * total
     return PoissonCheckResult(lhs, rhs, abs(lhs - rhs))
 
 
-def poisson_check(
-    frame: CongruenceFrame,
-    X: float,
-    cutoff: float = 1e-14,
-) -> PoissonCheckResult:
+def poisson_check(frame: CongruenceFrame, X: float) -> PoissonCheckResult:
     """Two-sided check of the first Poisson application at a single l.
 
     lhs: lattice sum of Gamma(k2 h x / X^6) Gamma(k3 h y / X^4) over unit
@@ -655,7 +638,7 @@ def poisson_check(
     a, b, h, l = frame.a, frame.b, frame.h, frame.l
     k2, k3 = frame.k2, frame.k3
     l2 = l * l
-    zmax = decay_radius(cutoff)
+    zmax = decay_radius(POISSON_CUTOFF)
 
     nx = int(math.ceil(zmax * X**6 / (k2 * h))) + 1
     ny = int(math.ceil(zmax * X**4 / (k3 * h))) + 1

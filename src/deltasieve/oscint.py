@@ -225,7 +225,7 @@ DECAY_THRESHOLD = 2.6
 OMEGA_ASSERT_LEVEL = 1e-6
 
 
-def default_omega_contexts() -> list[ParamContext]:
+def omega_contexts() -> list[ParamContext]:
     """Rows covering all three regimes, with |u| > K rows past the decay
     threshold so the assertion set is nonempty."""
     ctxs = []
@@ -244,14 +244,14 @@ def default_omega_contexts() -> list[ParamContext]:
     return ctxs
 
 
-def omega_scan(contexts: list[ParamContext] | None = None) -> list[OmegaRow]:
-    """Omega = I - G over a context grid, classified by the (u, K) regime.
+def omega_scan() -> list[OmegaRow]:
+    """Omega = I - G over `omega_contexts`, classified by the (u, K) regime.
 
     Asserting is left to the caller; rows carry ``asserted`` = True when
     |u| > K and the stationary weight argument exceeds DECAY_THRESHOLD.
     """
     rows = []
-    for ctx in contexts or default_omega_contexts():
+    for ctx in omega_contexts():
         if not beta_floor_holds(ctx):
             raise ValueError(f"context {ctx} violates the beta >= 1 floor")
         alpha, beta, K = param_map(ctx)

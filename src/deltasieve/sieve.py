@@ -89,8 +89,9 @@ class CountConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "smoothed"):
             raise ValueError("mode must be exact or smoothed")
-        if not (math.isfinite(self.X) and self.X > 0):
-            raise ValueError(f"X must be positive and finite, got {self.X}")
+        # below 1 the exact box holds (0, 0) alone and smoothed weights underflow
+        if not (math.isfinite(self.X) and self.X >= 1):
+            raise ValueError(f"X must be finite and >= 1, got {self.X}")
         if self.mode == "exact" and self.X > MAX_EXACT_X:
             raise ValueError(f"exact mode guard: X <= {MAX_EXACT_X}")
         if self.mode == "smoothed" and self.X > 4:

@@ -137,12 +137,12 @@ def suite_density(seed: int = 0) -> SuiteReport:
     add = rep.checks.append
 
     vals = {4: 8, 9: 27, 25: 45}
-    ok = all(density.sigma(q).sigma == v for q, v in vals.items())
-    ok = ok and all(density.sigma_pair_bruteforce(q).sigma == v for q, v in vals.items())
+    ok = all(density.sigma(q) == v for q, v in vals.items())
+    ok = ok and all(density.sigma_pair_bruteforce(q) == v for q, v in vals.items())
     add(CheckResult("sigma_small_enumeration", ok, 0.0, str(vals)))
 
-    third = (Fraction(1) - Fraction(density.sigma(4).sigma, 16)) * (
-        Fraction(1) - Fraction(density.sigma(9).sigma, 81)
+    third = (Fraction(1) - Fraction(density.sigma(4), 16)) * (
+        Fraction(1) - Fraction(density.sigma(9), 81)
     )
     add(CheckResult("one_third_factor_exact", third == Fraction(1, 3), 0.0))
 
@@ -150,11 +150,11 @@ def suite_density(seed: int = 0) -> SuiteReport:
     for p in arith.primes_up_to(100):
         if p <= 3:
             continue
-        if density.sigma(p * p).sigma != 2 * p * p - p:
+        if density.sigma(p * p) != 2 * p * p - p:
             bad.append(p)
-        if p <= 31 and density.sigma_pair_bruteforce(p * p).sigma != 2 * p * p - p:
+        if p <= 31 and density.sigma_pair_bruteforce(p * p) != 2 * p * p - p:
             bad.append(p)
-        if p > 31 and density.sigma_prime_square_structured(p).sigma != 2 * p * p - p:
+        if p > 31 and density.sigma_prime_square_structured(p) != 2 * p * p - p:
             bad.append(p)
     add(CheckResult("sigma_p2_formula_le_100", not bad, len(bad), str(bad)))
 
@@ -162,10 +162,7 @@ def suite_density(seed: int = 0) -> SuiteReport:
     for q1 in range(1, 301):
         for q2 in range(1, 300 // q1 + 1):
             if math.gcd(q1, q2) == 1 and q1 * q2 <= 300:
-                if (
-                    density.sigma(q1 * q2).sigma
-                    != density.sigma(q1).sigma * density.sigma(q2).sigma
-                ):
+                if density.sigma(q1 * q2) != density.sigma(q1) * density.sigma(q2):
                     bad += 1
     add(CheckResult("sigma_multiplicative_300", bad == 0, bad))
 
@@ -255,7 +252,7 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         l2 = frame.l**2
         for m in range(-3, 4):
             for n in range(-3, 4):
-                two = expsum.cal_E(expsum.DoubleSumSpec(frame, m, n))
+                two = expsum.cal_E(frame, m, n)
                 c, d = expsum.E_arguments(frame, m, n)
                 one = expsum.E_sum(c, d, l2)
                 dev = abs(two.value - one.value)

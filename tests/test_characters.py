@@ -160,10 +160,10 @@ def test_ap_mobius_sum():
 
 
 def test_decomposition_examples():
-    assert ch.decomposition_check(7, 2, 1, 1, 1500).delta < 1e-10
-    assert ch.decomposition_check(5, 2, 1, 3, 2000).delta < 1e-8
-    assert ch.decomposition_check(7, 3, 2, 5, 5000).delta < 1e-8
-    assert ch.decomposition_check(12, 5, 3, 8, 4000, 30).delta < 1e-8
+    assert ch.decomposition_sweep(7, 1, 1500)[(2, 1)].delta < 1e-10
+    assert ch.decomposition_sweep(5, 3, 2000)[(2, 1)].delta < 1e-8
+    assert ch.decomposition_sweep(7, 5, 5000)[(3, 2)].delta < 1e-8
+    assert ch.decomposition_sweep(12, 8, 4000, 30)[(5, 3)].delta < 1e-8
     with pytest.raises(ValueError):
         ch.decomposition_sweep(21, 3, 100)
 

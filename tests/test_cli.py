@@ -112,7 +112,10 @@ def test_count_payload_deterministic_modulo_seconds(tmp_path):
 
 
 def test_count_bad_X():
-    for args in (["--X", "abc"], ["--X", "nan"], ["--X", "inf"], ["--X", "1", "--threads", "0"]):
+    for args in (
+        ["--X", "abc"], ["--X", "nan"], ["--X", "inf"], ["--X", "1", "--threads", "0"],
+        ["--X", "0.5"], ["--X", "1e-50"], ["--X", "1e-300", "--mode", "smoothed"],
+    ):
         r = run_cli(["count", *args])
         assert r.returncode == 2, args
         assert r.stdout == ""
@@ -134,11 +137,37 @@ def test_balance_terms_file(tmp_path):
     assert r.returncode == 0
     assert json.loads(r.stdout)["exponent"] == "6"
     bad = tmp_path / "bad.json"
-    for text in ("[]", "[1, 2]", '[{"const": "1/0"}]'):
+    for text in ("[]", "[1, 2]", '[{"const": "1/0"}]', '[{"const": 6, "tk": 1}]'):
         bad.write_text(text)
         r = run_cli(["balance", "--terms", str(bad)])
         assert r.returncode == 2, text
         assert r.stdout == "" and "bad terms file: " in r.stderr, text
+
+
+def test_bad_max_seconds_is_usage_error(monkeypatch, capsys):
+    """A set DELTASIEVE_MAX_SECONDS must be a finite number >= 0, also for
+    a suite that builds no guard; an empty value means unset."""
+    for value in ("abc", "nan", "-1"):
+        monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", value)
+        for argv in (["verify", "--suite", "poisson"], ["count", "--X", "1"]):
+            assert cli.main(argv) == 2, (value, argv)
+            out, err = capsys.readouterr()
+            assert out == "" and "bad DELTASIEVE_MAX_SECONDS: " in err
+    monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "")
+    assert cli.main(["count", "--X", "1"]) == 0
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    """An --out payload or artifact that cannot be opened exits 2 with
+    `cannot write <path>: ...`, not a traceback."""
+    missing = tmp_path / "missing" / "x.json"
+    assert cli.main(["constant", "--theorem", "1", "--out", str(missing)]) == 2
+    assert f"cannot write {missing}: " in capsys.readouterr().err
+    out = tmp_path / "v.csv"
+    artifact = tmp_path / "v.csv.oscint.omega_rows.csv"
+    artifact.mkdir()  # the payload can be written, its artifact cannot
+    assert cli.main(["verify", "--suite", "oscint", "--format", "csv", "--out", str(out)]) == 2
+    assert f"cannot write {artifact}: " in capsys.readouterr().err
 
 
 def test_time_budget_guard():

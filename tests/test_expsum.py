@@ -49,14 +49,11 @@ def test_frame_validation():
 
 def test_cal_E_examples():
     fr = es.CongruenceFrame(1, 1, 1, 5)
-    assert abs(es.cal_E(es.DoubleSumSpec(fr, 0, 0)).value - 20) < 1e-12
+    assert abs(es.cal_E(fr, 0, 0).value - 20) < 1e-12
     fr1 = es.CongruenceFrame(1, 1, 1, 1)
-    assert abs(es.cal_E(es.DoubleSumSpec(fr1, 3, -2)).value - 1) < 1e-12
+    assert abs(es.cal_E(fr1, 3, -2).value - 1) < 1e-12
     c, d = es.E_arguments(fr, 1, 0)
-    assert (
-        abs(es.cal_E(es.DoubleSumSpec(fr, 1, 0)).value - es.E_sum(c, d, 25).value)
-        < 1e-10
-    )
+    assert abs(es.cal_E(fr, 1, 0).value - es.E_sum(c, d, 25).value) < 1e-10
 
 
 def test_exptrans_identity_sweep():
@@ -65,10 +62,7 @@ def test_exptrans_identity_sweep():
             fr = es.CongruenceFrame(k2, k3, h, l)
             for m, n in ((0, 0), (1, 2), (-3, 3), (2, -1)):
                 c, d = es.E_arguments(fr, m, n)
-                dev = abs(
-                    es.cal_E(es.DoubleSumSpec(fr, m, n)).value
-                    - es.E_sum(c, d, l * l).value
-                )
+                dev = abs(es.cal_E(fr, m, n).value - es.E_sum(c, d, l * l).value)
                 assert dev < 1e-8 * l * l
 
 

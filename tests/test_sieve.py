@@ -37,6 +37,8 @@ def test_config_guards():
         dict(X=float("nan")),
         dict(X=float("inf")),
         dict(X=0.0),
+        dict(X=0.5),
+        dict(X=0.5, mode="smoothed"),
         dict(X=1.0, threads=0),
         dict(X=1.0, threads=-3),
     ):

@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -65,6 +66,14 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_out(out: str | None):
+    """Reject, before any work, an --out that is a directory or whose
+    directory is missing or not writable; the file itself is not touched."""
+    folder = os.path.dirname(os.path.abspath(out or "."))
+    if out and (os.path.isdir(out) or not os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write {out}: a directory, or in a missing or read-only one")
 
 
 def _header(args: argparse.Namespace):
@@ -294,6 +303,7 @@ def main(argv=None) -> int:
         print(f"bad DELTASIEVE_MAX_SECONDS: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -22,11 +22,11 @@ On that domain Delta is prime to 6, and for p >= 5:
 
 A count runs in two stages.
 
-Stage 1 (roots) works on blocks of the primes 5 <= p < L = 2 Bmax + 1.
-Per block it takes square roots mod p only of the primes l <= max |A|
-and of +-3, twisted so that every l has one: rho(l)^2 = l z^f, z the
-prime's fixed non-residue and f the Legendre bit, in one Tonelli-Shanks
-pass (`_twisted_roots`).  The twisted roots of all the needed n then
+Stage 1 (roots) works on blocks of the primes 5 <= p < P = L // 12,
+L = 2 Bmax + 1.  Per block it takes square roots mod p only of the
+primes l <= max |A| and of +-3, twisted so that every l has one:
+rho(l)^2 = l z^f, z the prime's fixed non-residue and f the Legendre
+bit, in one Tonelli-Shanks pass (`_twisted_roots`).  The other needed n
 follow by one product each along n = spf(n) (n / spf(n)) (`_root_table`).
 As sqrt(-3A) = sqrt(-+3) sqrt(|A|), a stripe's cusp root mod p is one
 product on that table (`_cusp_roots`), lifted to p^2 (`_lift_root`);
@@ -34,13 +34,13 @@ it is 0 exactly where p | A.  The stage emits progressions of B, 0 mod p
 where p | A and root mod p^2 where p^2 < L, as (stripe, first odd-B cell,
 stride), and hits (stripe, odd B) for the roots mod the larger p^2.
 
-The primes p >= L go by the cofactor, as the k > xi tail passes to the
+The primes p >= P go by the cofactor, as the k > xi tail passes to the
 complementary factor (`_RootStage.cofactor`).  On the domain, Delta = 3
 or 7 (mod 8) and 3 does not divide Delta, so p^2 | Delta means
-Delta = k p^2 with such a k and |k| <= Delta_max / L^2.  For each k and
-stripe, each prime with k p^2 - 4 A^3 in [27, 27 Bmax^2] gives one
-candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when that is an
-integer.  A prime p >= L that divides A marks only B = 0.
+Delta = k p^2 with such a k and |k| <= Delta_max / P^2, whether p | A or
+not.  As B^2 = 1 (mod 8), a stripe's Delta lie in one of 12 classes mod
+216, 4 A^3 + 27.  Each k p^2 of its class in 4 A^3 + [27, 27 Bmax^2]
+gives one candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when integer.
 
 Stage 2 (rows) marks one stripe at a time in a reused buffer of its W
 odd B (`_mark_row`): a progression is one stride from its first cell,
@@ -404,6 +404,8 @@ def _lift_cusp(tab: _Table, pr: _Primes, plan: _Plan, s: int, i, c, r) -> np.nda
 # chunk of the cofactor scan: bounds their temporaries to about a MiB
 _TABLE = 1 << 15
 
+_FLIP = 12  # root tables take p < P = L // _FLIP, the cofactor scan p >= P
+
 
 def _odd_span(Bmax: int) -> tuple[int, int]:
     """(lo, W): the odd B in [-Bmax, Bmax] are lo, lo + 2, ..., lo + 2 (W - 1),
@@ -438,6 +440,11 @@ _EMPTY = _Found(_NONE, _NONE, _NONE, _NONE)
 _BATCH = 64
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def _merge(parts) -> _Found:
     """The hits and progressions of all the parts, as one _Found."""
     return _Found(*(np.concatenate(col) for col in zip(_EMPTY, *parts)))
@@ -445,20 +452,22 @@ def _merge(parts) -> _Found:
 
 class _RootStage:
     """Stage 1 for the stripes As (3 | A stripes need no roots): their plan
-    and box, shared by all the prime blocks one process solves."""
+    and box, shared by all the prime blocks one process solves.  Root
+    tables take the primes 5 <= p < P = L // _FLIP, the cofactor the rest."""
 
     def __init__(self, As: np.ndarray, Bmax: int):
         self.live = np.flatnonzero(As % 3 != 0)
         self.As = As[self.live]
         self.plan = _Plan.of(self.As, self.live)
         self.Bmax, self.L = Bmax, 2 * Bmax + 1
+        self.P = self.L // _FLIP
         self.lo, self.W = _odd_span(Bmax)
 
     def blocks(self) -> list[np.ndarray]:
-        """The primes 5 <= p < L in blocks, ordered by s then p (s = 1 needs
+        """The primes 5 <= p < P in blocks, ordered by s then p (s = 1 needs
         no Tonelli-Shanks steps, and the exponents of a block have similar
         length)."""
-        p = np.asarray(primes_up_to(self.L - 1)[2:], dtype=np.int64)
+        p = np.asarray(primes_up_to(self.P - 1)[2:], dtype=np.int64)
         p = p[np.lexsort((p, (p - 1) & (1 - p)))]
         size = max(1, _TABLE // self.plan.n.size)
         return [p[lo : lo + size] for lo in range(0, p.size, size)]
@@ -493,28 +502,37 @@ class _RootStage:
             parts.append(_Found(hits, rows[few], _first_cell(roots[few], self.lo, m), m))
         return _merge(parts)
 
-    def cofactor(self) -> _Found:
-        """The hits of the primes p >= L at odd B, by the cofactor k = Delta / p^2
-        (3 or 7 mod 8, prime to 3): per k, one sorted array of k p^2 and one
-        window of it per stripe, in chunks of about _TABLE candidates."""
+    def cofactor(self, deadline: Deadline) -> _Found:
+        """The hits of the primes p >= P at odd B, by the cofactor k = Delta / p^2
+        (3 mod 4, prime to 3): one sorted array of keys by class k p^2 mod 216,
+        one window per stripe in its class 4 A^3 + 27, chunks of about _TABLE."""
         a3 = 4 * self.As**3
         top = 4 * int(np.abs(self.As).max(initial=0)) ** 3 + 27 * self.Bmax**2
         ps = np.asarray(primes_up_to(math.isqrt(top))[2:], dtype=np.int64)
-        kmax = top // self.L**2
+        p2 = ps[ps >= self.P] ** 2
+        cls = (a3 + 27) % 216
+        span = 2 * top + 2
+        kmax = top // int(p2[0]) if p2.size else 0
+        a = np.arange(1, kmax + 1)
+        a = a[(a % 2 == 1) & (a % 3 != 0)]
+        k = np.where(a % 4 == 3, a, -a)  # k = 3 (mod 4), by |k| = a
+        n = np.searchsorted(a, top // p2, side="right")  # |k| p^2 <= top
+        kp2 = k[_ranges(np.zeros_like(n), n)] * np.repeat(p2, n)
+        kp2 = kp2[np.isin(kp2 % 216, cls, kind="table")]  # 12 of 216 classes
+        keys = np.sort(kp2 % 216 * span + kp2 + top)
+        base = cls * span + top + a3  # the key of k p^2 = Delta(A, 0)
+        lo, hi = np.searchsorted(keys, np.stack([base + 27, base + 27 * self.Bmax**2 + 1]))
+        n = hi - lo
+        cuts = np.searchsorted(np.cumsum(n), np.arange(_TABLE, int(n.sum()), _TABLE))
         hits = [_NONE]
-        for k in [k for k in range(-kmax, kmax + 1) if k % 8 in (3, 7) and k % 3]:
-            kp2 = np.sort(k * ps[(ps >= self.L) & (ps <= math.isqrt(top // abs(k)))] ** 2)
-            lo, hi = np.searchsorted(kp2, np.stack([a3 + 27, a3 + 27 * self.Bmax**2 + 1]))
-            n = hi - lo
-            cuts = np.searchsorted(np.cumsum(n), np.arange(_TABLE, int(n.sum()), _TABLE))
-            for rows in np.split(np.arange(a3.size), cuts):
-                m = n[rows]
-                row = np.repeat(rows, m)
-                v = kp2[np.arange(row.size) + np.repeat(lo[rows] - np.cumsum(m) + m, m)] - a3[row]
-                b = np.rint(np.sqrt(v / 27)).astype(np.int64)
-                sq = 27 * b * b == v
-                flat, B = self.live[row[sq]] * self.W, b[sq]  # B is odd, as Delta is
-                hits += [flat + (B - self.lo) // 2, flat - (B + self.lo) // 2]
+        for rows in np.split(np.arange(a3.size), cuts):
+            deadline.check()
+            row = np.repeat(rows, n[rows])
+            v = keys[_ranges(lo[rows], n[rows])] - base[row]
+            b = np.rint(np.sqrt(v / 27)).astype(np.int64)
+            sq = 27 * b * b == v
+            flat, B = self.live[row[sq]] * self.W, b[sq]  # B is odd, as Delta is
+            hits += [flat + (B - self.lo) // 2, flat - (B + self.lo) // 2]
         return _Found(np.concatenate(hits), _NONE, _NONE, _NONE)
 
 
@@ -544,16 +562,15 @@ def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
 
 
 def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline) -> _Found:
-    """Stage 1, the cofactor scan (in this process) and the root blocks,
-    merged.  With more than one worker, each task is a share of the
-    blocks, so no table is built twice; a deadline that expires in any
-    process cancels the tasks not yet started."""
+    """Stage 1, the cofactor scan (in this process, while any workers run)
+    and the root blocks, merged.  With more than one worker, each task is a
+    share of the blocks, so no table is built twice; a deadline that
+    expires in any process cancels the tasks not yet started."""
     stage = _RootStage(As, Bmax)
     blocks = stage.blocks()
     workers = min(threads, os.cpu_count() or 1, len(blocks))
-    found = [stage.cofactor()]
     if workers <= 1:
-        return _merge(found + _run_blocks(stage, blocks, deadline))
+        return _merge([stage.cofactor(deadline)] + _run_blocks(stage, blocks, deadline))
     ntasks = min(len(blocks), 4 * workers)
     tasks = [blocks[k::ntasks] for k in range(ntasks)]
     with ProcessPoolExecutor(
@@ -561,6 +578,7 @@ def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline) -> 
     ) as pool:
         futures = [pool.submit(_pool_blocks, task) for task in tasks]
         try:
+            found = [stage.cofactor(deadline)]  # here, while the workers run
             done = [fut.result() for fut in futures]
         except BaseException:
             for fut in futures:
@@ -617,20 +635,22 @@ def _mark_rows(As, Bmax: int) -> np.ndarray:
 
 
 def _check_int64_headroom(Amax: int, pmax: int):
-    """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3:
+    """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3
+    or 432 (pmax + 1)^2:
 
-      * residues mod p are below p < L <= pmax, so products of two of them,
+      * residues mod p are below p < P <= pmax, so products of two of them,
         n rho(n) (n <= Amax <= pmax) and the lifted roots r + p k are
         below pmax^2;
       * the Hensel step's 27 r^2 + 4 A^3 (r < p) is below
         27 pmax^2 + 4 Amax^3 in absolute value;
       * with pmax = isqrt(Delta_max), the cofactor scan keeps
-        |k| p^2 <= Delta_max <= pmax^2 + 2 pmax, and hit indices
+        |k| p^2 <= top = Delta_max < (pmax + 1)^2, its keys (class < 216)
+        below 216 (2 top + 2) <= 432 (pmax + 1)^2, and hit indices
         stripe * W + column (W <= Bmax + 1 odd columns) are below
         (2 Amax + 1)(Bmax + 1) <= Delta_max;
       * a progression's first cell comes from (r - lo) mod m + m < 2 L."""
-    if 27 * pmax**2 + 4 * Amax**3 >= 2**63:
-        raise ValueError(f"int64 headroom: 27 pmax^2 + 4 Amax^3 >= 2^63 (pmax = {pmax})")
+    if max(27 * pmax**2 + 4 * Amax**3, 432 * (pmax + 1) ** 2) >= 2**63:
+        raise ValueError(f"int64 headroom: a kernel value would reach 2^63 (pmax = {pmax})")
 
 
 def _box_bounds(cfg: CountConfig) -> tuple[int, int]:

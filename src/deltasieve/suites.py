@@ -767,8 +767,8 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         )
     )
 
-    # one count per box, read by every check below; X = 4 runs a pool of
-    # up to 4 workers, the middle run of worker_determinism_1_4_16
+    # one count per box, read by every check below; X = 4 asks for 4
+    # workers, the middle run of worker_determinism_1_4_16
     def count(X, threads=1, mode="exact"):
         cfg = sieve.CountConfig(X=X, mode=mode, threads=threads)
         return (sieve.exact_count if mode == "exact" else sieve.smoothed_count)(cfg, deadline)
@@ -815,8 +815,8 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         )
     )
 
-    # X=4 has 6 prime blocks, so with two or more CPUs the pool tasks hold
-    # one block each and the workers' stage-1 hits are merged
+    # X=4 has one prime block (5 <= p < 682), so no run starts a pool: the
+    # workers' merge is tested by test_pool_matches_one_process
     runs = [count(4, 1), exact[4], count(4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count

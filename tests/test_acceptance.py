@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every criterion is a lookup on a suite report from `conftest.py`;
-the tolerances live in `deltasieve.suites`, and the time bounds apply to
-the timed suite run.  `test_remaining_module_invariants` fails on any
-failed check of any suite, so the checks no criterion names are gated too.
+lines.  Every criterion but the X = 6 stripe digest is a lookup on a suite
+report from `conftest.py`; the tolerances live in `deltasieve.suites`, and
+the time bounds apply to the timed suite run.
+`test_remaining_module_invariants` fails on any failed check of any
+suite, so the checks no criterion names are gated too.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from deltasieve import suites
+from deltasieve import sieve, suites
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -162,6 +163,14 @@ def test_main_term_rows_pin_counts(suite_run):
     rows = suite_run("sieve").report.artifacts["main_term_rows"]
     got = {r.X: r.count_or_sum for r in rows}
     assert got == {3: 66316, 4: 1178600, 5: 10954444, 6: 67796564}
+
+
+def test_x6_stripe_digest():
+    """The one criterion that counts outside the suites: X = 6 in one
+    process pins every stripe summary, not just the total."""
+    res = sieve.exact_count(sieve.CountConfig(X=6))
+    digest = "8b2ba15d45852c78a6f8a59c31e3d131adecc521b7437db029f9045631e90888"
+    assert (res.count, res.stripe_digest) == (67796564, digest)
 
 
 def test_criterion_10_exponent_balancer(suite_run):

@@ -170,6 +170,29 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert f"cannot write {artifact}: " in capsys.readouterr().err
 
 
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    """An --out that is a directory or lies in a missing directory exits 2
+    before any suite, count or product runs, with empty stdout and no file
+    created."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for name in ("run_suite", "exact_count", "euler_product"):
+        monkeypatch.setattr(cli, name, never)
+    missing = tmp_path / "missing" / "out.csv"
+    for out in (missing, tmp_path):
+        for argv in (
+            ["verify", "--suite", "all", "--format", "csv"],
+            ["count", "--X", "1,2"],
+            ["constant", "--theorem", "1"],
+        ):
+            assert cli.main(argv + ["--out", str(out)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"cannot write {out}: " in captured.err
+    assert not missing.parent.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_time_budget_guard():
     r = run_cli(
         ["verify", "--suite", "expsum"],

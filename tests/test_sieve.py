@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from deltasieve import arith, cli
 from deltasieve import sieve as sv
-from deltasieve.deadline import TimeBudgetExceeded
+from deltasieve.deadline import Deadline, TimeBudgetExceeded
 
 # X = 8 (MAX_EXACT_X) is the largest box: primes up to its sqrt(Delta_max)
 AMAX_8 = 8**4
@@ -50,6 +50,11 @@ def test_int64_headroom_guard():
     sv._check_int64_headroom(AMAX_8, PMAX_8)
     with pytest.raises(ValueError):
         sv._check_int64_headroom(0, math.isqrt(2**63 // 27) + 1)
+    # the cofactor scan's keys reach 432 (pmax + 1)^2, past 27 pmax^2
+    pmax = math.isqrt(2**63 // 432)
+    sv._check_int64_headroom(0, pmax - 1)
+    with pytest.raises(ValueError):
+        sv._check_int64_headroom(0, pmax)
 
 
 def test_pool_is_bounded(monkeypatch):
@@ -77,27 +82,52 @@ def test_pool_is_bounded(monkeypatch):
     monkeypatch.setattr(sv, "_worker_stage", None)
     monkeypatch.setattr(sv, "_worker_deadline", None)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 4)
-    want = sv.exact_count(sv.CountConfig(X=2))
-    # X = 2: 11 table columns (|A| <= 16, 3 not dividing A) and 29 primes
-    # 5 <= p < L = 129; the primes p >= L go by the cofactor, in this process
-    for table, blocks, expect in ((11, 29, [4]), (11 * 15, 2, [2]), (11 * 29, 1, [])):
+    want = sv.exact_count(sv.CountConfig(X=3))
+    # X = 3: 54 table columns (|A| <= 81, 3 not dividing A, and their
+    # factors) and 28 primes 5 <= p < P = L // 12 = 121; the primes p >= P
+    # go by the cofactor, in this process.  28 blocks make 16 tasks.
+    for table, blocks, expect in ((54, 28, [4]), (54 * 14, 2, [2]), (54 * 28, 1, [])):
         monkeypatch.setattr(sv, "_TABLE", table)
-        stage = sv._RootStage(np.arange(-16, 17), 64)
-        assert len(stage.blocks()) == blocks
+        stage = sv._RootStage(np.arange(-81, 82), 729)
+        assert stage.plan.n.size == 54 and len(stage.blocks()) == blocks
         sizes.clear()
-        got = sv.exact_count(sv.CountConfig(X=2, threads=10**6))
+        got = sv.exact_count(sv.CountConfig(X=3, threads=10**6))
         assert sizes == expect
         assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
     sizes.clear()
-    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # L = 3: no block
+    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # P = 0: no block
     assert sizes == []
 
 
+def test_pool_matches_one_process(monkeypatch):
+    """Two worker processes, each with a share of the 28 prime blocks of
+    X = 3 (one prime per block), give the one-process count and stripe
+    digest: their progressions and hits merge with the scan's."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    want = sv.exact_count(sv.CountConfig(X=3))
+    monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sv, "_TABLE", 54)
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    got = sv.exact_count(sv.CountConfig(X=3, threads=2))
+    assert sizes == [2]
+    assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
+
+
 def test_deadline_stops_count(monkeypatch, capsys):
-    """An expired budget stops a count in one process and in a pool (whose
-    workers raise it from their first prime block), and a list of counts
-    (`count --X 1,2`, one budget for the list): exit 1, no payload."""
+    """An expired budget stops a count in one process and in a pool (28
+    prime blocks at X = 3 with one prime per block; the scan in this
+    process raises it, and so does each worker's first block), and a list
+    of counts (`count --X 1,2`, one budget for the list): exit 1, no
+    payload."""
     monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
+    monkeypatch.setattr(sv, "_TABLE", 54)
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
     for threads in (1, 2):
         with pytest.raises(TimeBudgetExceeded):
             sv.exact_count(sv.CountConfig(X=3, threads=threads))
@@ -496,31 +526,37 @@ def test_mark_sampled_pairs_match_squarefree(X):
 
 
 def test_large_prime_hits_match_delta_grid(monkeypatch):
-    """The cofactor scan of the primes p >= L (`_RootStage.cofactor`)
-    against the Delta grid, on the cells of stage 2 (B odd, 3 not dividing
-    A), as flat indices stripe * W + (B - lo) / 2.  In a count such hits
-    are rare (none in the whole X = 4 box), so the boxes here have a short
-    B range, where p^2 | Delta for some p >= L often, with negative and
-    large cofactors k = Delta / p^2.
-    In the second box max |A| > L, and p = L = 61 is a prime.  A small
-    _TABLE splits each scan into many chunks."""
-    for Amax, Bmax, ks in (
-        (100, 60, {-101, -77, -61, 31}),
-        (200, 30, {-1765, -173, -125, -77, -53, -37, 31, 239, 367, 1351}),
-    ):
+    """The cofactor scan of the primes p >= P = L // 12
+    (`_RootStage.cofactor`) against the Delta grid, on the cells of stage 2
+    (B odd, 3 not dividing A), as flat indices stripe * W + (B - lo) / 2.
+    The boxes have a short B range, where p^2 | Delta for some p >= P
+    often.  Each holds cofactors k = Delta / p^2 of both signs, primes
+    P <= p < L that divide A (found at p | B, which the root tables mark
+    for p < P), and hits at both ends of the window, |B| = 1 and
+    |B| = Bmax.  In the second box P = 5, so the scan takes every prime.
+    A small _TABLE splits each scan into many chunks."""
+    for Amax, Bmax, nhits in ((100, 61, 502), (200, 31, 1274)):
         L = 2 * Bmax + 1
+        P = L // 12
         lo, W = sv._odd_span(Bmax)
         As = np.arange(-Amax, Amax + 1, dtype=np.int64)
         B = np.arange(lo, Bmax + 1, 2, dtype=np.int64)
         d = 4 * As[:, None] ** 3 + 27 * B * B
-        k = np.zeros(d.shape, dtype=np.int64)
-        for p in arith.primes_up_to(math.isqrt(int(d.max()))):
-            if p >= L:
-                k = np.where((d % (p * p) == 0) & (d != 0), d // (p * p), k)
-        hit = (k != 0) & (As[:, None] % 3 != 0)
-        assert set(k[hit].tolist()) == ks, (Amax, Bmax)
+        live = (As[:, None] % 3 != 0) & (d != 0)
+        hit = np.zeros(d.shape, dtype=bool)
+        ks, divides = set(), False
+        for p in arith.primes_up_to(math.isqrt(int(np.abs(d).max()))):
+            if p >= max(P, 5):
+                h = live & (d % (p * p) == 0)
+                hit |= h
+                ks |= set((d[h] // (p * p)).tolist())
+                divides |= p < L and bool((h & (As[:, None] % p == 0)).any())
+        assert hit.sum() == nhits and min(ks) < 0 < max(ks) and divides
+        assert hit[:, [0, -1]].any() and hit[:, [W // 2 - 1, W // 2]].any()
+        assert B[[0, -1, W // 2 - 1, W // 2]].tolist() == [-Bmax, Bmax, -1, 1]
         for table in (sv._TABLE, 7):
             monkeypatch.setattr(sv, "_TABLE", table)
-            found = sv._RootStage(As, Bmax).cofactor()
+            found = sv._RootStage(As, Bmax).cofactor(Deadline())
             assert found.rows.size == 0
-            assert sorted(found.hits.tolist()) == np.flatnonzero(hit).tolist(), (Amax, Bmax, table)
+            # a Delta with two such p^2 is hit twice; marking is idempotent
+            assert np.unique(found.hits).tolist() == np.flatnonzero(hit).tolist(), (Amax, Bmax, table)

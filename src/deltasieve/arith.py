@@ -56,21 +56,6 @@ class Factorization:
             raise ValueError("0 has no factorization")
 
     @property
-    def radical(self) -> int:
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
-
-    @property
-    def square_part(self) -> int:
-        """Largest perfect square dividing abs(n)."""
-        s = 1
-        for p, e in self.factors:
-            s *= p ** (e - (e % 2))
-        return s
-
-    @property
     def mobius(self) -> int:
         for _, e in self.factors:
             if e > 1:
@@ -201,16 +186,6 @@ def euler_phi(n: int) -> int:
     if n == 1:
         return 1
     return factorize(n).phi
-
-
-def rad_and_square_part(n: int) -> tuple[int, int]:
-    """(largest square-free divisor, largest perfect-square divisor) of |n|."""
-    if n == 0:
-        raise ValueError("rad/square part undefined for 0")
-    if abs(n) == 1:
-        return 1, 1
-    f = factorize(n)
-    return f.radical, f.square_part
 
 
 def is_squarefree(n: int) -> bool:

@@ -44,8 +44,11 @@ gives one candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when integer.
 
 Stage 2 (rows) marks one stripe at a time in a reused buffer of its W
 odd B (`_mark_row`): a progression is one stride from its first cell,
-and a hit is one cell.  Each row then reduces to (count, sum B, sum B^2)
-over precomputed odd B and B^2 columns; a 3 | A stripe is (A, 0, 0, 0).
+and a hit is one cell.  There is no B = 0 cell, so cell i mirrors cell
+W - 1 - i (B -> -B), which fixes Delta: a row that is not its own mirror
+is refused, naming its stripe.  Each row then reduces over its half
+B > 0 to (2 count, sum B = 0, 2 sum B^2), with a precomputed B^2
+column; a 3 | A stripe is (A, 0, 0, 0).
 
 A pool splits the prime blocks of stage 1 across its workers; their hits
 and the cofactor's are merged before stage 2.  Marking is idempotent, so
@@ -621,19 +624,6 @@ def _marked_rows(As: np.ndarray, Bmax: int, found: _Found, deadline: Deadline):
         yield i, buf
 
 
-def _mark_rows(As, Bmax: int) -> np.ndarray:
-    """The marked stripes As (distinct A) as one (len(As), W) matrix over
-    the odd B, through both stages; the rows of 3 | A are all marked.  The
-    tables cover only these |A|."""
-    As = np.asarray(As, dtype=np.int64)
-    deadline = Deadline()
-    found = _find_roots(As, Bmax, 1, deadline)
-    out = np.ones((As.size, _odd_span(Bmax)[1]), dtype=bool)
-    for i, buf in _marked_rows(As, Bmax, found, deadline):
-        out[i] = buf
-    return out
-
-
 def _check_int64_headroom(Amax: int, pmax: int):
     """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3
     or 432 (pmax + 1)^2:
@@ -666,24 +656,26 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
     _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
     found = _find_roots(As, Bmax, cfg.threads, deadline)
-    Bs = np.arange(_odd_span(Bmax)[0], Bmax + 1, 2, dtype=np.int64)  # the W odd B
-    B2 = Bs * Bs  # sum B^2 <= W Bmax^2 < 2^63
+    lo, W = _odd_span(Bmax)
+    h = W // 2  # cell i holds B = lo + 2 i and mirrors cell W - 1 - i, -B
+    B2 = np.arange(1, Bmax + 1, 2, dtype=np.int64) ** 2  # the half: sum B^2 <= h Bmax^2 < 2^63
     smoothed = cfg.mode == "smoothed"
     dead = (0, 0, 0, 0.0) if smoothed else (0, 0, 0)  # 3 | A: 9 | Delta
     stripes = [(A,) + dead for A in As.tolist()]
     if smoothed:
-        gB = gauss(Bs / cfg.X**6)
+        gB = gauss(np.arange(lo, Bmax + 1, 2) / cfg.X**6)
     for i, marked in _marked_rows(As, Bmax, found, deadline):
-        keep = ~marked
         A = stripes[i][0]
-        row = (A, int(np.count_nonzero(keep)), int(Bs @ keep), int(B2 @ keep) % (2**61 - 1))
+        # B -> -B fixes Delta, so every row is its own mirror and its survivors
+        # sum to 0; the half B > 0 gives the count and sum B^2
+        if marked[:h].tobytes() != marked[h:][::-1].tobytes():
+            B = 1 + 2 * int(np.flatnonzero(marked[h:] != marked[:h][::-1])[0])
+            raise RuntimeError(f"stripe A = {A}: marks differ at B = {B} and {-B}")
+        keep = ~marked[h:]
+        row = (A, 2 * int(np.count_nonzero(keep)), 0, 2 * int(B2 @ keep) % (2**61 - 1))
         if smoothed:
-            row += (float(gauss(A / cfg.X**4) * np.sum(gB[keep])),)
+            row += (float(gauss(A / cfg.X**4) * np.sum(gB[~marked])),)
         stripes[i] = row
-    # B -> -B fixes Delta, so the surviving B of every stripe sum to 0
-    for row in stripes:
-        if row[2]:
-            raise RuntimeError(f"stripe A = {row[0]}: surviving B sum to {row[2]}, not 0")
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()
     return CountResult(
         cfg.X,

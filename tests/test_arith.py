@@ -202,14 +202,6 @@ def test_sqrt_mod_composite():
     assert arith.sqrt_mod(2, 15) == []
 
 
-def test_rad_and_square_part():
-    assert arith.rad_and_square_part(72) == (6, 36)
-    assert arith.rad_and_square_part(1) == (1, 1)
-    assert arith.rad_and_square_part(-50) == (10, 25)
-    with pytest.raises(ValueError):
-        arith.rad_and_square_part(0)
-
-
 def test_crt():
     r = arith.crt([(2, 3), (3, 5), (2, 7)])
     assert 0 <= r < 105 and r % 3 == 2 and r % 5 == 3 and r % 7 == 2

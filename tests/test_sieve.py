@@ -164,6 +164,18 @@ def test_mark_fills_three_divides_A_rows():
         assert all(row[1:] == (0, 0, 0) + (0.0,) * (cfg.mode == "smoothed") for row in dead)
 
 
+def _mark_rows(As, Bmax: int) -> np.ndarray:
+    """The marked stripes As (distinct A) as one (len(As), W) matrix over
+    the odd B, through both stages; the rows of 3 | A are all marked.  The
+    tables cover only these |A|."""
+    As = np.asarray(As, dtype=np.int64)
+    found = sv._find_roots(As, Bmax, 1, Deadline())
+    out = np.ones((As.size, sv._odd_span(Bmax)[1]), dtype=bool)
+    for i, buf in sv._marked_rows(As, Bmax, found, Deadline()):
+        out[i] = buf
+    return out
+
+
 def test_mark_rows_match_value_bitmap():
     """Every cell of stage 2 at X = 3: for each stripe with 3 not dividing
     A and each odd B, the cell is marked iff |Delta| is not square-free,
@@ -179,7 +191,7 @@ def test_mark_rows_match_value_bitmap():
     sf = np.ones(int(d.max()) + 1, dtype=bool)
     for p in arith.primes_up_to(math.isqrt(sf.size - 1)):
         sf[p * p :: p * p] = False
-    marked = sv._mark_rows(As, Bmax)
+    marked = _mark_rows(As, Bmax)
     assert marked[As % 3 == 0].all()
     want = ~sf[d]
     assert 0 < want.sum() < want.size
@@ -242,21 +254,25 @@ def test_naive_squarefree_count_cap(monkeypatch):
 
 
 def test_stripe_B_sum_invariant(monkeypatch):
-    """B -> -B fixes Delta, so every stripe's survivors sum to 0; a count
-    whose stage 2 breaks the symmetry is refused, naming the stripe."""
+    """B -> -B fixes Delta, so every stripe's marks are their own mirror; a
+    count whose stage 2 breaks the symmetry is refused, naming the stripe,
+    whether the flipped cell is in the half B > 0 that the reduction reads
+    or in the half B < 0 that it does not."""
     marked_rows = sv._marked_rows
 
-    def flip_one(As, Bmax, *rest):
-        for i, buf in marked_rows(As, Bmax, *rest):
-            if As[i] == 1:
-                buf[(Bmax + 1) // 2] ^= True  # (A, B) = (1, 1)
-            yield i, buf
+    for shift in (0, -1):
 
-    monkeypatch.setattr(sv, "_marked_rows", flip_one)
-    with pytest.raises(RuntimeError, match="stripe A = 1:"):
-        sv.exact_count(sv.CountConfig(X=2))
-    with pytest.raises(RuntimeError, match="stripe A = 1:"):
-        sv.smoothed_count(sv.CountConfig(X=1, mode="smoothed"))
+        def flip_one(As, Bmax, *rest):
+            for i, buf in marked_rows(As, Bmax, *rest):
+                if As[i] == 1:
+                    buf[(Bmax + 1) // 2 + shift] ^= True  # (A, B) = (1, +-1)
+                yield i, buf
+
+        monkeypatch.setattr(sv, "_marked_rows", flip_one)
+        with pytest.raises(RuntimeError, match="stripe A = 1: marks differ at B = 1 and -1"):
+            sv.exact_count(sv.CountConfig(X=2))
+        with pytest.raises(RuntimeError, match="stripe A = 1:"):
+            sv.smoothed_count(sv.CountConfig(X=1, mode="smoothed"))
 
 
 def test_S_term():
@@ -505,7 +521,7 @@ def test_mark_sampled_pairs_match_squarefree(X):
     big = [p for p in arith.primes_up_to(20 * math.isqrt(L)) if p * p >= L]
     rng = np.random.default_rng(X)
     As = rng.choice([A for A in range(-Amax, Amax + 1) if A % 3], 4, replace=False)
-    marked = sv._mark_rows(As, Bmax)
+    marked = _mark_rows(As, Bmax)
     seen = set()
     for row, A in enumerate(As.tolist()):
         hits = [

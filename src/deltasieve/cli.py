@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("count", help="square-free discriminant counts vs main term")
     k.add_argument("--X", required=True, help="X value or comma list, e.g. 3,4,5,6")
     k.add_argument("--mode", choices=["exact", "smoothed"], default="exact")
-    k.add_argument("--threads", type=int, default=1)
+    k.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes, capped at the CPU count; counts do not depend on it",
+    )
     k.add_argument("--format", choices=["json", "csv"], default="csv")
     k.add_argument("--out", default=None)
     k.set_defaults(func=_cmd_count)

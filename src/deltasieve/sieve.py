@@ -50,9 +50,10 @@ is refused, naming its stripe.  Each row then reduces over its half
 B > 0 to (2 count, sum B = 0, 2 sum B^2), with a precomputed B^2
 column; a 3 | A stripe is (A, 0, 0, 0).
 
-A pool splits the prime blocks of stage 1 across its workers; their hits
-and the cofactor's are merged before stage 2.  Marking is idempotent, so
-counts and stripe digests do not depend on the number of workers.
+Stripes are sieved apart, so a pool splits the box by stripes: each of
+its workers runs both stages on the A with |A| = k (mod workers), both
+signs, and the rows are put back in A order.  Counts, stripe digests and
+smoothed sums do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -539,15 +541,6 @@ class _RootStage:
         return _Found(np.concatenate(hits), _NONE, _NONE, _NONE)
 
 
-_worker_stage: _RootStage | None = None  # set in each pool worker process
-_worker_deadline: Deadline | None = None
-
-
-def _init_worker(As: np.ndarray, Bmax: int, deadline: Deadline):
-    global _worker_stage, _worker_deadline
-    _worker_stage, _worker_deadline = _RootStage(As, Bmax), deadline
-
-
 def _run_blocks(stage: _RootStage, blocks: list[np.ndarray], deadline: Deadline) -> list[_Found]:
     """stage.run on each block, merged _BATCH blocks at a time."""
     found, batch = [], []
@@ -560,34 +553,11 @@ def _run_blocks(stage: _RootStage, blocks: list[np.ndarray], deadline: Deadline)
     return found + [_merge(batch)]
 
 
-def _pool_blocks(blocks: list[np.ndarray]) -> list[_Found]:
-    return _run_blocks(_worker_stage, blocks, _worker_deadline)
-
-
-def _find_roots(As: np.ndarray, Bmax: int, threads: int, deadline: Deadline) -> _Found:
-    """Stage 1, the cofactor scan (in this process, while any workers run)
-    and the root blocks, merged.  With more than one worker, each task is a
-    share of the blocks, so no table is built twice; a deadline that
-    expires in any process cancels the tasks not yet started."""
+def _find_roots(As: np.ndarray, Bmax: int, deadline: Deadline) -> _Found:
+    """Stage 1 for the stripes As: the cofactor scan and the root blocks, merged."""
     stage = _RootStage(As, Bmax)
-    blocks = stage.blocks()
-    workers = min(threads, os.cpu_count() or 1, len(blocks))
-    if workers <= 1:
-        return _merge([stage.cofactor(deadline)] + _run_blocks(stage, blocks, deadline))
-    ntasks = min(len(blocks), 4 * workers)
-    tasks = [blocks[k::ntasks] for k in range(ntasks)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(As, Bmax, deadline)
-    ) as pool:
-        futures = [pool.submit(_pool_blocks, task) for task in tasks]
-        try:
-            found = [stage.cofactor(deadline)]  # here, while the workers run
-            done = [fut.result() for fut in futures]
-        except BaseException:
-            for fut in futures:
-                fut.cancel()
-            raise
-    return _merge(found + [f for part in done for f in part])
+    blocks = stage.blocks()  # before the scan: a lower peak RSS over repeated counts
+    return _merge([stage.cofactor(deadline)] + _run_blocks(stage, blocks, deadline))
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +620,10 @@ def _box_bounds(cfg: CountConfig) -> tuple[int, int]:
     return int(math.ceil(z * cfg.X**4)), int(math.ceil(z * cfg.X**6))
 
 
-def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
-    deadline = deadline or Deadline()
-    Amax, Bmax = _box_bounds(cfg)
-    _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
-    As = np.arange(-Amax, Amax + 1, dtype=np.int64)
-    found = _find_roots(As, Bmax, cfg.threads, deadline)
+def _stripe_rows(As: np.ndarray, Bmax: int, cfg: CountConfig, deadline: Deadline) -> list[tuple]:
+    """Both stages for the stripes As: one row (A, count, sum B, sum B^2 mod
+    2^61 - 1), with the weighted sum last in smoothed mode, per A, in order."""
+    found = _find_roots(As, Bmax, deadline)
     lo, W = _odd_span(Bmax)
     h = W // 2  # cell i holds B = lo + 2 i and mirrors cell W - 1 - i, -B
     B2 = np.arange(1, Bmax + 1, 2, dtype=np.int64) ** 2  # the half: sum B^2 <= h Bmax^2 < 2^63
@@ -676,6 +644,27 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
         if smoothed:
             row += (float(gauss(A / cfg.X**4) * np.sum(gB[~marked])),)
         stripes[i] = row
+    return stripes
+
+
+def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
+    """The stripe rows of the box in A order: in this process, or with
+    several workers, worker k on the A with |A| = k (mod workers), both
+    signs, so that each column of its root tables serves both.  Every
+    worker checks the one deadline."""
+    deadline = deadline or Deadline()
+    Amax, Bmax = _box_bounds(cfg)
+    _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
+    As = np.arange(-Amax, Amax + 1, dtype=np.int64)
+    workers = min(cfg.threads, os.cpu_count() or 1, Amax + 1)
+    if workers <= 1:
+        stripes = _stripe_rows(As, Bmax, cfg, deadline)
+    else:
+        shards = [As[np.abs(As) % workers == k] for k in range(workers)]
+        with ProcessPoolExecutor(workers) as pool:
+            done = pool.map(_stripe_rows, shards, repeat(Bmax), repeat(cfg), repeat(deadline))
+            stripes = sorted(row for rows in done for row in rows)  # by A, as A is unique
+    smoothed = cfg.mode == "smoothed"
     digest = hashlib.sha256(repr([row[:4] for row in stripes]).encode()).hexdigest()
     return CountResult(
         cfg.X,

@@ -815,8 +815,8 @@ def suite_sieve(seed: int = 0) -> SuiteReport:
         )
     )
 
-    # X=4 has one prime block (5 <= p < 682), so no run starts a pool: the
-    # workers' merge is tested by test_pool_matches_one_process
+    # threads 1, 4 and 16 at X = 4: the last two start a pool of
+    # min(threads, CPU count) workers, each counting its shard of the stripes
     runs = [count(4, 1), exact[4], count(4, 16)]
     same = (
         runs[0].count == runs[1].count == runs[2].count

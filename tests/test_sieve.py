@@ -1,5 +1,6 @@
+import dataclasses
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,14 +59,14 @@ def test_int64_headroom_guard():
 
 
 def test_pool_is_bounded(monkeypatch):
-    """threads = 10**6 asks for min(cpu_count, prime blocks) workers, and
-    one worker means no pool."""
-    sizes = []
+    """threads = 10**6 asks for min(cpu_count, Amax + 1) workers, one per
+    shard; the shards partition the box, none is empty and each holds +-A
+    together.  One worker means no pool."""
+    sizes, shards = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -73,36 +74,30 @@ def test_pool_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, parts, *rest):
+            shards.extend(parts)
+            return map(fn, parts, *rest)
 
     monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sv, "_worker_stage", None)
-    monkeypatch.setattr(sv, "_worker_deadline", None)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 4)
-    want = sv.exact_count(sv.CountConfig(X=3))
-    # X = 3: 54 table columns (|A| <= 81, 3 not dividing A, and their
-    # factors) and 28 primes 5 <= p < P = L // 12 = 121; the primes p >= P
-    # go by the cofactor, in this process.  28 blocks make 16 tasks.
-    for table, blocks, expect in ((54, 28, [4]), (54 * 14, 2, [2]), (54 * 28, 1, [])):
-        monkeypatch.setattr(sv, "_TABLE", table)
-        stage = sv._RootStage(np.arange(-81, 82), 729)
-        assert stage.plan.n.size == 54 and len(stage.blocks()) == blocks
+    # X = 3: 4 CPUs for 82 values of |A|; X = 1: |A| <= 1, 2 shards
+    for X, Amax, workers in ((3, 81, 4), (1, 1, 2)):
+        want = sv.exact_count(sv.CountConfig(X=X))
         sizes.clear()
-        got = sv.exact_count(sv.CountConfig(X=3, threads=10**6))
-        assert sizes == expect
+        shards.clear()
+        got = sv.exact_count(sv.CountConfig(X=X, threads=10**6))
+        assert sizes == [workers] and len(shards) == workers
+        assert sorted(np.concatenate(shards).tolist()) == list(range(-Amax, Amax + 1))
+        assert all(s.size and sorted(s.tolist()) == sorted((-s).tolist()) for s in shards)
         assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
     sizes.clear()
-    assert sv.exact_count(sv.CountConfig(X=1, threads=10**6)).count == 4  # P = 0: no block
+    assert sv.exact_count(sv.CountConfig(X=3, threads=1)).count == 66316
     assert sizes == []
 
 
 def test_pool_matches_one_process(monkeypatch):
-    """Two worker processes, each with a share of the 28 prime blocks of
-    X = 3 (one prime per block), give the one-process count and stripe
-    digest: their progressions and hits merge with the scan's."""
+    """Two worker processes, each with its shard of the stripes, give the
+    one-process count, stripe digest and smoothed sum."""
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -110,27 +105,31 @@ def test_pool_matches_one_process(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    want = sv.exact_count(sv.CountConfig(X=3))
+    cfgs = [sv.CountConfig(X=3), sv.CountConfig(X=4), sv.CountConfig(X=2, mode="smoothed")]
+    want = [sv._run_count(cfg) for cfg in cfgs]
     monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sv, "_TABLE", 54)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
-    got = sv.exact_count(sv.CountConfig(X=3, threads=2))
-    assert sizes == [2]
-    assert (got.count, got.stripe_digest) == (want.count, want.stripe_digest)
+    for cfg, one in zip(cfgs, want):
+        got = sv._run_count(dataclasses.replace(cfg, threads=2))
+        assert (got.count, got.stripe_digest) == (one.count, one.stripe_digest)
+        assert got.stripe_summaries == one.stripe_summaries
+        if cfg.mode == "smoothed":
+            assert got.weighted.hex() == one.weighted.hex()
+    assert sizes == [2, 2, 2]
 
 
 def test_deadline_stops_count(monkeypatch, capsys):
-    """An expired budget stops a count in one process and in a pool (28
-    prime blocks at X = 3 with one prime per block; the scan in this
-    process raises it, and so does each worker's first block), and a list
-    of counts (`count --X 1,2`, one budget for the list): exit 1, no
-    payload."""
+    """An expired budget stops a count, exact and smoothed, in one process
+    and in a pool of two workers (each raises it at its first check), and
+    a list of counts (`count --X 1,2`, one budget for the list): exit 1,
+    no payload."""
     monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
-    monkeypatch.setattr(sv, "_TABLE", 54)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
     for threads in (1, 2):
         with pytest.raises(TimeBudgetExceeded):
             sv.exact_count(sv.CountConfig(X=3, threads=threads))
+        with pytest.raises(TimeBudgetExceeded):
+            sv.smoothed_count(sv.CountConfig(X=2, mode="smoothed", threads=threads))
     assert cli.main(["count", "--X", "1,2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "aborted: DELTASIEVE_MAX_SECONDS" in err
@@ -169,7 +168,7 @@ def _mark_rows(As, Bmax: int) -> np.ndarray:
     the odd B, through both stages; the rows of 3 | A are all marked.  The
     tables cover only these |A|."""
     As = np.asarray(As, dtype=np.int64)
-    found = sv._find_roots(As, Bmax, 1, Deadline())
+    found = sv._find_roots(As, Bmax, Deadline())
     out = np.ones((As.size, sv._odd_span(Bmax)[1]), dtype=bool)
     for i, buf in sv._marked_rows(As, Bmax, found, Deadline()):
         out[i] = buf

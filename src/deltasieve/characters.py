@@ -283,13 +283,6 @@ def dirichlet_approximation(w: float, R: int) -> tuple[int, int, float]:
 # the section-13 decomposition
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    direct: complex
-    reconstructed: complex
-    delta: float
-
-
 def _bucket_matrix(hi, q1, r_mod, coprime_to):
     """W[u, v] = sum of mu(n) over n in [1, hi] with n = u (q1), n = v (r_mod),
     (n, coprime_to) = 1."""
@@ -303,9 +296,10 @@ def _bucket_matrix(hi, q1, r_mod, coprime_to):
 
 def decomposition_sweep(
     q1: int, r: int, s: int, coprime_to: int = 6
-) -> dict[tuple[int, int], DecompositionResult]:
+) -> dict[tuple[int, int], float]:
     """Check the character decomposition of S_j(s, a/r) at every unit class
-    j mod q1 and a mod r (1 <= j <= q1, 1 <= a <= r), keyed by (j, a).
+    j mod q1 and a mod r (1 <= j <= q1, 1 <= a <= r): the deviation
+    |direct - reconstructed|, keyed by (j, a).
 
     direct:  sum over n <= s, n = j (q1), (n, C) = 1 of mu(n) e(a n / r).
     reconstructed: expansion over chi mod q1, divisors f | r and chi1 mod r/f,
@@ -366,7 +360,7 @@ def decomposition_sweep(
             direct = complex(direct_by_class[j % q1])
             chij = np.conj(chi_tabs[:, j % q1])
             recon = complex(np.sum(chij * inner) / phi_q1)
-            out[(j, a)] = DecompositionResult(direct, recon, abs(direct - recon))
+            out[(j, a)] = abs(direct - recon)
     return out
 
 

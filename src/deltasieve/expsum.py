@@ -31,8 +31,6 @@ from .weights import decay_radius, gauss
 
 MAX_BRUTE_MODULUS = 10**7
 
-# identity checks pass at absolute error TOL_SCALE * (modulus + 1)
-TOL_SCALE = 1e-8
 # the first Poisson check sums the weights out to where they fall below
 # POISSON_CUTOFF; the second stops its u-sum by |u| <= POISSON_U_CAP
 POISSON_CUTOFF = 1e-14
@@ -76,19 +74,12 @@ class PhasePolynomial:
         return 0
 
 
-@dataclass(frozen=True)
-class ExpSumValue:
-    value: complex
-    abs_error: float
-    term_count: int
-
-
 def _sum_error(n: int) -> float:
     # per-term unit-circle rounding plus pairwise accumulation
     return 2.5e-15 * n + 1e-16
 
 
-def raw_phase_sum(p: PhasePolynomial) -> ExpSumValue:
+def raw_phase_sum(p: PhasePolynomial) -> complex:
     """Brute-force evaluation of the complete sum for ``p``.
 
     The phase is reduced mod q exactly in int64 (q <= 1e7 keeps the Horner
@@ -105,17 +96,15 @@ def raw_phase_sum(p: PhasePolynomial) -> ExpSumValue:
     if p.coprime_only:
         keep = np.gcd(x, q) == 1
         acc = acc[keep]
-    n = int(acc.size)
-    val = complex(_unit_circle(acc, q).sum()) if n else 0j
-    return ExpSumValue(val, _sum_error(n), n)
+    return complex(_unit_circle(acc, q).sum()) if acc.size else 0j
 
 
-def E_sum(c: int, d: int, q: int) -> ExpSumValue:
+def E_sum(c: int, d: int, q: int) -> complex:
     """E(c, d; q) by brute force: the phase c z^3 - d z^2 on units."""
     return raw_phase_sum(PhasePolynomial((0, -d, c), q, coprime_only=True))
 
 
-def F_sum(c3: int, c2: int, c1: int, r: int) -> ExpSumValue:
+def F_sum(c3: int, c2: int, c1: int, r: int) -> complex:
     """F(c3, c2, c1; r) by brute force: the unrestricted cubic sum."""
     return raw_phase_sum(PhasePolynomial((c1, c2, c3), r))
 
@@ -182,14 +171,12 @@ def cal_E_solutions(frame: CongruenceFrame) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
 
 
-def cal_E(frame: CongruenceFrame, m: int, n: int) -> ExpSumValue:
+def cal_E(frame: CongruenceFrame, m: int, n: int) -> complex:
     """calE(m, n; l^2), the two-variable sum, by brute force."""
     l2 = frame.l ** 2
     cs, ds = cal_E_solutions(frame)
     ph = (cs * m + ds * n) % l2
-    size = int(cs.size)
-    val = complex(_unit_circle(ph, l2).sum()) if size else 0j
-    return ExpSumValue(val, _sum_error(size), size)
+    return complex(_unit_circle(ph, l2).sum()) if cs.size else 0j
 
 
 def E_arguments(frame: CongruenceFrame, m: int, n: int) -> tuple[int, int]:
@@ -198,7 +185,7 @@ def E_arguments(frame: CongruenceFrame, m: int, n: int) -> tuple[int, int]:
     return a**3 * b**4 * h**2 * m, a**3 * b**2 * h * n
 
 
-def evaluate_E_explicit(frame: CongruenceFrame, m: int, n: int) -> ExpSumValue:
+def evaluate_E_explicit(frame: CongruenceFrame, m: int, n: int) -> complex:
     """E(a^3 b^4 h^2 m, a^3 b^2 h n; l^2) by the explicit route.
 
     Steps: d = (m, l); zero unless d | n; for m = 0 a quadratic Gauss sum
@@ -212,32 +199,26 @@ def evaluate_E_explicit(frame: CongruenceFrame, m: int, n: int) -> ExpSumValue:
     k2, k3 = frame.k2, frame.k3
     d, m1, l1 = frame.split(m)
     if n % d != 0:
-        return ExpSumValue(0j, 0.0, 0)
+        return 0j
     n1 = n // d
     if m1 != 0 and math.gcd(abs(n1), l1) != 1:
         # the congruence x = 2*3bar*bbar^2*hbar*n1*m1bar (mod l1) has no
         # unit solution when (n1, l1) > 1, so the l1^2-factor vanishes
-        return ExpSumValue(0j, 0.0, 0)
+        return 0j
     if m1 == 0:
         # m = 0, d = l, l1 = 1
         e = math.gcd(abs(n1), d) if n1 != 0 else d
-        d2 = d // e
-        n2 = n1 // e if e else 0
-        g = gauss_f(a**3 * b**2 * h * n2, d2)
-        val = d * euler_phi(e) * g if e >= 1 else 0j
-        return ExpSumValue(val, 1e-14 * abs(val) + 1e-16, d * euler_phi(e))
+        return d * euler_phi(e) * gauss_f(a**3 * b**2 * h * (n1 // e), d // e)
     if d > 1:
         c, e = _residual_coeffs(a, b, h, m1, l1, d)
         ed = E_sum(c, e * n1, d)
     else:
-        ed = ExpSumValue(1 + 0j, 0.0, 1)
+        ed = 1 + 0j
     big = k3**3 * h * d * m1 * m1
     theta = Fraction(-(k2**2) * n1**3, big * l1 * l1)
     linv2 = pow(l1 * l1, -1, big)
     theta += Fraction(linv2 * (k2**2 * n1**3 % big), big)
-    val = d * l1 * ed.value * e_frac(theta)
-    err = d * l1 * (ed.abs_error + 1e-15 * abs(ed.value))
-    return ExpSumValue(val, err, d * l1 * ed.term_count)
+    return d * l1 * ed * e_frac(theta)
 
 
 def gauss_f(c: int, q: int) -> complex:
@@ -273,7 +254,7 @@ def multiplicativity_check(c: int, d: int, q1: int, q2: int) -> float:
     i1 = pow(q1, -1, q2) if q2 > 1 else 0
     left = E_sum(c * i2, d * i2, q1)
     right = E_sum(c * i1, d * i1, q2)
-    return abs(whole.value - left.value * right.value)
+    return abs(whole - left * right)
 
 
 def kloosterman_flip_check(n: int, m: int, k: int) -> bool:
@@ -306,18 +287,12 @@ def kloosterman_flip_check(n: int, m: int, k: int) -> bool:
 # Lemma-style reductions and bounds
 
 
-@dataclass(frozen=True)
-class Lemma3Result:
-    is_zero: bool
-    factor: int
-    reduced: PhasePolynomial | None
-
-
-def lemma3_reduce(p: PhasePolynomial, delta: int) -> Lemma3Result:
+def lemma3_reduce(p: PhasePolynomial, delta: int) -> PhasePolynomial | None:
     """Divide out delta | (c_n, ..., c_2, Q) from an unrestricted sum.
 
-    If delta does not divide c_1 the sum is exactly 0; otherwise the sum
-    equals delta times the sum of f/delta mod Q/delta.
+    If delta does not divide c_1 the sum is exactly 0 and the result is
+    None; otherwise the sum equals delta times the sum of the returned
+    f/delta mod Q/delta.
     """
     if p.coprime_only:
         raise ValueError("lemma 3 applies to unrestricted sums")
@@ -328,11 +303,8 @@ def lemma3_reduce(p: PhasePolynomial, delta: int) -> Lemma3Result:
             raise ValueError("delta must divide every coefficient above degree 1")
     c1 = p.coeffs[0] if p.coeffs else 0
     if c1 % delta != 0:
-        return Lemma3Result(True, delta, None)
-    reduced = PhasePolynomial(
-        tuple(c // delta for c in p.coeffs), p.modulus // delta, False
-    )
-    return Lemma3Result(False, delta, reduced)
+        return None
+    return PhasePolynomial(tuple(c // delta for c in p.coeffs), p.modulus // delta, False)
 
 
 @dataclass(frozen=True)
@@ -378,38 +350,22 @@ def loxton_schmidt(p: PhasePolynomial) -> LoxtonSchmidtBound:
         * math.gcd(abs(semi), q) ** (1.0 / (2 * eta))
         * nomega
     )
-    s = raw_phase_sum(p)
-    sum_abs = abs(s.value)
-    return LoxtonSchmidtBound(eta, semi, bound, sum_abs, sum_abs <= bound + s.abs_error + 1e-9)
+    sum_abs = abs(raw_phase_sum(p))
+    # an unrestricted sum has q terms
+    return LoxtonSchmidtBound(eta, semi, bound, sum_abs, sum_abs <= bound + _sum_error(q) + 1e-9)
 
 
 def lemma1_ratio(c: int, d: int, q: int) -> float:
     """|E(c,d;q)| / ((c,d,q)^(1/2) q^(1/2) d(q)^2), the explored Lemma-1 shape."""
     g = math.gcd(math.gcd(abs(c), abs(d)), q)
-    if g == 0:
-        g = q
     ndiv = 1
     for _, e in (factorize(q).factors if q > 1 else ()):
         ndiv *= e + 1
-    return abs(E_sum(c, d, q).value) / (math.sqrt(g) * math.sqrt(q) * ndiv**2)
+    return abs(E_sum(c, d, q)) / (math.sqrt(g) * math.sqrt(q) * ndiv**2)
 
 
 # ---------------------------------------------------------------------------
 # second Poisson step: CRT factorizations and the explicit F evaluation
-
-
-@dataclass(frozen=True)
-class CrtSplitResult:
-    lhs: complex
-    rhs_reduction: complex
-    rhs_reduction2: complex
-    delta1: float
-    delta2: float
-    modulus: int
-
-    def ok(self) -> bool:
-        tol = TOL_SCALE * (self.modulus + 1)
-        return self.delta1 <= tol and self.delta2 <= tol
 
 
 def _residual_coeffs(a: int, b: int, h: int, m1: int, l1: int, d: int) -> tuple[int, int]:
@@ -423,7 +379,7 @@ def _residual_coeffs(a: int, b: int, h: int, m1: int, l1: int, d: int) -> tuple[
 def _residual_table(a: int, b: int, h: int, m1: int, l1: int, d: int) -> list[complex]:
     """The residual factor E(c, e w; d) of `_residual_coeffs` for w mod d."""
     c, e = _residual_coeffs(a, b, h, m1, l1, d)
-    return [E_sum(c, e * w, d).value for w in range(d)]
+    return [E_sum(c, e * w, d) for w in range(d)]
 
 
 def crt_split_check(
@@ -435,7 +391,7 @@ def crt_split_check(
     mstar: int,
     mtilde: int,
     u: int,
-) -> CrtSplitResult:
+) -> tuple[float, float]:
     """Verify the two CRT factorizations of the v-sum mod q*mtilde^2.
 
     The v-sum over modulus q mtilde^2 (q = k3^3 h d mstar^2) must factor
@@ -472,7 +428,7 @@ def crt_split_check(
     sx_terms = etab[(x * (mt2 % d if d > 1 else 0)) % d] * _unit_circle(phx, q)
     sx = complex(sx_terms.sum())
     cm = (linv2 % mt2) * k22 % mt2 * (q * q % mt2) % mt2
-    rhs1 = sx * F_sum(cm, 0, u, mt2).value
+    rhs1 = sx * F_sum(cm, 0, u, mt2)
 
     # (reduction2): x-sum through z mod d and y mod qtilde, where
     # cq (z + d y)^3 + u (z + d y) leaves F(cq d^2, cq 3dz, cq 3z^2 + u; qtilde)
@@ -481,20 +437,18 @@ def crt_split_check(
     rhs2 = 0j
     for z in range(d):
         phz = (cq * (z * z % q * z % q) + (u % q) * z) % q
-        sy2 = F_sum(cqt * d * d, cqt * 3 * d * z, cqt * 3 * z * z + u, qt).value
+        sy2 = F_sum(cqt * d * d, cqt * 3 * d * z, cqt * 3 * z * z + u, qt)
         rhs2 += etab[(z * (mt2 % d if d > 1 else 0)) % d] * e_frac(Fraction(int(phz), q)) * sy2
 
-    return CrtSplitResult(
-        lhs, rhs1, rhs2, abs(lhs - rhs1), abs(sx - rhs2), big
-    )
+    return abs(lhs - rhs1), abs(sx - rhs2)
 
 
-def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpSumValue:
+def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> complex:
     """F(l1bar^2 k2^2 q^2, 0, u; mtilde^2) via the root-sum closed form.
 
     Equals |mtilde| times the sum over roots x1 of x1^2 = -3bar u
     (mod |mtilde|) of e((x1^3 + u x1) * inv(k2 q) * l1 / mtilde^2), with
-    inverses mod mtilde^2.  Empty root set means 0.
+    inverses mod mtilde^2.  An empty root set gives exactly 0j.
     """
     am = abs(mtilde)
     mt2 = am * am
@@ -506,16 +460,15 @@ def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpSumValue:
     target = (-inv3 * u) % am
     roots = sqrt_mod(target, am)
     if not roots:
-        return ExpSumValue(0j, 0.0, 0)
+        return 0j
     invkq = pow(k2 * q, -1, mt2) if mt2 > 1 else 0
     total = 0j
     for x1 in roots:
         total += e_frac(Fraction(((x1**3 + u * x1) * invkq * l1) % mt2, mt2))
-    val = am * total
-    return ExpSumValue(val, am * _sum_error(len(roots)), am * len(roots))
+    return am * total
 
 
-def F_explicit_bruteforce(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpSumValue:
+def F_explicit_bruteforce(u: int, mtilde: int, k2: int, q: int, l1: int) -> complex:
     """Same sum by direct evaluation (oracle for F_explicit)."""
     am = abs(mtilde)
     mt2 = am * am
@@ -530,7 +483,6 @@ def F_explicit_bruteforce(u: int, mtilde: int, k2: int, q: int, l1: int) -> ExpS
 @dataclass(frozen=True)
 class PoissonCheckResult:
     lhs: float
-    rhs: complex
     delta: float
 
     @property
@@ -547,7 +499,7 @@ def poisson_selfdual_1d(s: float) -> PoissonCheckResult:
     nm = int(math.ceil(zmax / s)) + 1
     m = np.arange(-nm, nm + 1)
     rhs = s * float(np.sum(gauss(s * m)))
-    return PoissonCheckResult(lhs, rhs, abs(lhs - rhs))
+    return PoissonCheckResult(lhs, abs(lhs - rhs))
 
 
 def poisson_second_check(
@@ -622,7 +574,7 @@ def poisson_second_check(
     else:
         raise ValueError(f"u-sum did not decay within |u| <= {POISSON_U_CAP}")
     rhs = scale * total
-    return PoissonCheckResult(lhs, rhs, abs(lhs - rhs))
+    return PoissonCheckResult(lhs, abs(lhs - rhs))
 
 
 def poisson_check(frame: CongruenceFrame, X: float) -> PoissonCheckResult:
@@ -665,4 +617,4 @@ def poisson_check(frame: CongruenceFrame, X: float) -> PoissonCheckResult:
     fn = (wn[:, None] * _unit_circle(ns[:, None] * cres[None, :] % l2, l2)).sum(axis=0)
     cs, ds = cal_E_solutions(frame)
     rhs = complex(X**10 / (k2 * k3 * h * h * l**4) * np.sum(fm[cs] * fn[ds]))
-    return PoissonCheckResult(lhs, rhs, abs(lhs - rhs))
+    return PoissonCheckResult(lhs, abs(lhs - rhs))

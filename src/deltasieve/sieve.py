@@ -769,7 +769,12 @@ def naive_count_tiny(X: float) -> int:
 
 
 def naive_weighted_sum(X: float) -> float:
-    """Direct Gaussian-weighted oracle over the truncated box (value-bitmap mu^2)."""
+    """Direct Gaussian-weighted oracle over the truncated box (value-bitmap mu^2).
+
+    The bitmap takes Delta_max bytes (218 MB at X = 3, 1.4 GB at X = 3.5), so
+    X <= 3; the cap is checked before anything is allocated."""
+    if X > 3:
+        raise ValueError("weighted oracle capped at X <= 3")
     z = decay_radius(SMOOTHED_CUTOFF)
     Amax, Bmax = int(math.ceil(z * X**4)), int(math.ceil(z * X**6))
     dmax = 4 * Amax**3 + 27 * Bmax**2
@@ -794,7 +799,10 @@ def _delta_histogram(X: float) -> np.ndarray:
     """h[v] = number of box pairs with |Delta| = v, for v != 0 (h[0] = 0).
 
     The dtype is the smallest unsigned type that holds the largest count
-    (uint8 at X = 3, 16.5 MB), not bincount's int64."""
+    (uint8 at X = 3, 16.5 MB), not bincount's int64.  Capped at X <= 3,
+    checked before anything is allocated."""
+    if X > 3:
+        raise ValueError("Delta histogram capped at X <= 3")
     Amax, Bmax = int(math.floor(X**4)), int(math.floor(X**6))
     A = np.arange(-Amax, Amax + 1, dtype=np.int64)[:, None]
     B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)[None, :]

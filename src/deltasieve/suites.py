@@ -28,6 +28,10 @@ class CheckResult:
     deviation: float
     detail: str = ""
 
+    def __post_init__(self):
+        # a numpy bool would reach `verify --format json` as the string "True"
+        object.__setattr__(self, "ok", bool(self.ok))
+
 
 @dataclass
 class SuiteReport:
@@ -48,8 +52,12 @@ class SuiteReport:
         return next((c for c in self.checks if not c.ok), None)
 
 
+# identity checks pass at absolute error TOL_SCALE * (modulus + 1)
+TOL_SCALE = 1e-8
+
+
 def _tol(modulus: float) -> float:
-    return expsum.TOL_SCALE * (modulus + 1)
+    return TOL_SCALE * (modulus + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +263,14 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
                 two = expsum.cal_E(frame, m, n)
                 c, d = expsum.E_arguments(frame, m, n)
                 one = expsum.E_sum(c, d, l2)
-                dev = abs(two.value - one.value)
+                dev = abs(two - one)
                 if dev > worst:
                     worst, worst_at = dev, f"{frame} m={m} n={n}"
         deadline.check()
     add(
         CheckResult(
             "exptrans_exhaustive_l15",
-            worst < expsum.TOL_SCALE * 13**2,
+            worst < TOL_SCALE * 13**2,
             worst,
             worst_at,
         )
@@ -284,11 +292,11 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
             c, d = expsum.E_arguments(frame, m, n)
             brute = expsum.E_sum(c, d, l * l)
             ex = expsum.evaluate_E_explicit(frame, m, n)
-            dev = abs(brute.value - ex.value)
+            dev = abs(brute - ex)
             if dev > worst:
                 worst, worst_at = dev, f"l={l} h={h} m={m} n={n}"
         deadline.check()
-    add(CheckResult("explicit_E_vs_brute_l30", worst < expsum.TOL_SCALE * 29**2, worst, worst_at))
+    add(CheckResult("explicit_E_vs_brute_l30", worst < TOL_SCALE * 29**2, worst, worst_at))
 
     # Gauss-sum product formula
     worst = 0.0
@@ -298,7 +306,7 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         for c in range(1, q + 1):
             if math.gcd(c, q) != 1:
                 continue
-            dev = abs(expsum.gauss_f(c, q) - expsum.E_sum(0, c, q).value)
+            dev = abs(expsum.gauss_f(c, q) - expsum.E_sum(0, c, q))
             worst = max(worst, dev)
     add(CheckResult("gauss_f_vs_E0c_q50", worst < 1e-9 * 50, worst))
 
@@ -323,14 +331,13 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         c2 = delta * int(rng.integers(0, qt + 1))
         c1 = int(rng.integers(0, q))
         poly = expsum.PhasePolynomial((c1, c2, c3), q)
-        res = expsum.lemma3_reduce(poly, delta)
+        reduced = expsum.lemma3_reduce(poly, delta)
         direct = expsum.raw_phase_sum(poly)
-        if res.is_zero:
+        if reduced is None:
             zeros += 1
-            worst = max(worst, abs(direct.value))
+            worst = max(worst, abs(direct))
         else:
-            red = expsum.raw_phase_sum(res.reduced)
-            worst = max(worst, abs(direct.value - delta * red.value))
+            worst = max(worst, abs(direct - delta * expsum.raw_phase_sum(reduced)))
     add(
         CheckResult(
             "lemma3_500_random",
@@ -365,14 +372,14 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         d = int(rng.integers(-50, 50))
         worst = max(
             worst,
-            abs(expsum.E_sum(-c, -d, q).value - np.conj(expsum.E_sum(c, d, q).value)),
+            abs(expsum.E_sum(-c, -d, q) - np.conj(expsum.E_sum(c, d, q))),
         )
     add(CheckResult("E_conjugation", worst < 1e-10 * 200, worst))
     worst = 0.0
     for q in range(1, 201, 11):
         c3, c2, c1 = (int(rng.integers(-30, 30)) for _ in range(3))
-        a = expsum.F_sum(-c3, -c2, -c1, q).value
-        b = expsum.F_sum(c3, c2, c1, q).value
+        a = expsum.F_sum(-c3, -c2, -c1, q)
+        b = expsum.F_sum(c3, c2, c1, q)
         worst = max(worst, abs(a - np.conj(b)))
     add(CheckResult("F_conjugation", worst < 1e-10 * 200, worst))
     worst = 0.0
@@ -380,7 +387,7 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         c = int(rng.integers(0, q + 1))
         d = int(rng.integers(0, q + 1))
         worst = max(
-            worst, abs(expsum.E_sum(c + q, d - q, q).value - expsum.E_sum(c, d, q).value)
+            worst, abs(expsum.E_sum(c + q, d - q, q) - expsum.E_sum(c, d, q))
         )
     add(CheckResult("E_periodicity_q100", worst < 1e-12 * 100, worst))
 
@@ -400,8 +407,8 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
     add(CheckResult("E_twisted_multiplicativity", worst < _tol(10**4), worst))
 
     # F basics and the explicit F evaluation
-    okF = abs(expsum.F_sum(0, 0, 0, 7).value - 7) < 1e-12
-    okF = okF and abs(expsum.F_sum(0, 0, 3, 7).value) < 1e-12
+    okF = abs(expsum.F_sum(0, 0, 0, 7) - 7) < 1e-12
+    okF = okF and abs(expsum.F_sum(0, 0, 3, 7)) < 1e-12
     add(CheckResult("F_constant_and_linear", okF, 0.0))
     worst = 0.0
     zero_cases = 0
@@ -412,9 +419,9 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
                     continue
                 ex = expsum.F_explicit(u, mt, k2, q, l1)
                 br = expsum.F_explicit_bruteforce(u, mt, k2, q, l1)
-                if ex.term_count == 0:
+                if ex == 0:
                     zero_cases += 1
-                worst = max(worst, abs(ex.value - br.value))
+                worst = max(worst, abs(ex - br))
         deadline.check()
     add(
         CheckResult(
@@ -444,9 +451,9 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
             continue
         if math.gcd(l1, 6 * h * d * abs(mstar) * abs(mtilde)) != 1:
             continue
-        res = expsum.crt_split_check(k2, k3, h, d, l1, mstar, mtilde, u)
-        worst1 = max(worst1, res.delta1)
-        worst2 = max(worst2, res.delta2)
+        delta1, delta2 = expsum.crt_split_check(k2, k3, h, d, l1, mstar, mtilde, u)
+        worst1 = max(worst1, delta1)
+        worst2 = max(worst2, delta2)
         tested += 1
         if tested % 20 == 0:
             deadline.check()
@@ -707,13 +714,15 @@ def suite_characters(seed: int = 0) -> SuiteReport:
     add(CheckResult("ap_mobius_examples", ok, 0.0))
 
     worst = 0.0
+    bad = 0
     for _ in range(200):
         w = float(rng.uniform(0, 1))
         R = int(rng.integers(1, 10**4))
         a, r, beta = characters.dirichlet_approximation(w, R)
         if not (1 <= r <= R and math.gcd(a, r) == 1 and abs(beta) <= 1.0 / (r * R) + 1e-15):
+            bad += 1
             worst = max(worst, abs(beta) * r * R)
-    add(CheckResult("dirichlet_approximation_property", worst == 0.0, worst))
+    add(CheckResult("dirichlet_approximation_property", bad == 0, worst))
 
     # section-13 decomposition, exhaustive in (q1, j, a, r), sampled s
     worst = 0.0
@@ -727,9 +736,9 @@ def suite_characters(seed: int = 0) -> SuiteReport:
             C = cvals[(i // 3) % 3]
             i += 1
             res = characters.decomposition_sweep(q1, r, s, C)
-            for (j, a), dr in res.items():
-                if dr.delta > worst:
-                    worst, worst_at = dr.delta, f"q1={q1} j={j} a/r={a}/{r} s={s} C={C}"
+            for (j, a), delta in res.items():
+                if delta > worst:
+                    worst, worst_at = delta, f"q1={q1} j={j} a/r={a}/{r} s={s} C={C}"
         deadline.check()
     add(CheckResult("decomposition_identity_q20_r12", worst < 1e-8, worst, worst_at))
 

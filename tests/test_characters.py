@@ -160,10 +160,10 @@ def test_ap_mobius_sum():
 
 
 def test_decomposition_examples():
-    assert ch.decomposition_sweep(7, 1, 1500)[(2, 1)].delta < 1e-10
-    assert ch.decomposition_sweep(5, 3, 2000)[(2, 1)].delta < 1e-8
-    assert ch.decomposition_sweep(7, 5, 5000)[(3, 2)].delta < 1e-8
-    assert ch.decomposition_sweep(12, 8, 4000, 30)[(5, 3)].delta < 1e-8
+    assert ch.decomposition_sweep(7, 1, 1500)[(2, 1)] < 1e-10
+    assert ch.decomposition_sweep(5, 3, 2000)[(2, 1)] < 1e-8
+    assert ch.decomposition_sweep(7, 5, 5000)[(3, 2)] < 1e-8
+    assert ch.decomposition_sweep(12, 8, 4000, 30)[(5, 3)] < 1e-8
     with pytest.raises(ValueError):
         ch.decomposition_sweep(21, 3, 100)
 
@@ -179,6 +179,15 @@ def test_dirichlet_approximation():
         assert abs(beta) <= 1.0 / (r * R) + 1e-14
     a, r, beta = ch.dirichlet_approximation(0.5, 10)
     assert (a, r) == (1, 2) and beta == 0
+
+
+def test_dirichlet_check_fails_on_broken_draws(monkeypatch):
+    """r = 4 and gcd(a, r) = 2 violate the property even with beta = 0."""
+    from deltasieve import suites
+
+    monkeypatch.setattr(ch, "dirichlet_approximation", lambda w, R: (2, 4, 0.0))
+    check = {c.name: c for c in suites.suite_characters(0).checks}
+    assert not check["dirichlet_approximation_property"].ok
 
 
 def test_mertens_1e7_segmented():

@@ -41,6 +41,19 @@ def test_verify_density_json():
     assert "wall-clock" in r.stderr
 
 
+def test_verify_json_types():
+    """`ok` is a JSON bool and `n_pass` an int, also for checks whose
+    verdict is a numpy bool."""
+    r = run_cli(["verify", "--suite", "expsum", "--format", "json"])
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload["ok"] is True
+    (suite,) = payload["suites"]
+    assert suite["ok"] is True
+    assert type(suite["n_pass"]) is int and suite["n_pass"] == suite["n_checks"]
+    assert all(type(c["ok"]) is bool for c in suite["checks"])
+
+
 def test_verify_payload_deterministic():
     a = run_cli(["verify", "--suite", "poisson", "--seed", "42", "--format", "json"])
     b = run_cli(["verify", "--suite", "poisson", "--seed", "42", "--format", "json"])

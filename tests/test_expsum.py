@@ -8,11 +8,11 @@ from deltasieve import expsum as es
 
 def test_raw_phase_sum_examples():
     v = es.raw_phase_sum(es.PhasePolynomial((), 5, coprime_only=True))
-    assert abs(v.value - 4) < 1e-12  # E(0,0;5) = phi(5)
+    assert abs(v - 4) < 1e-12  # E(0,0;5) = phi(5)
     v = es.raw_phase_sum(es.PhasePolynomial((1,), 7))
-    assert abs(v.value) < 1e-12  # full geometric sum
+    assert abs(v) < 1e-12  # full geometric sum
     v = es.raw_phase_sum(es.PhasePolynomial((0, 0, 1), 9))
-    assert abs(v.value - 3 * (1 + 2 * math.cos(2 * math.pi / 9))) < 1e-12
+    assert abs(v - 3 * (1 + 2 * math.cos(2 * math.pi / 9))) < 1e-12
 
 
 def test_raw_phase_sum_guard():
@@ -21,15 +21,14 @@ def test_raw_phase_sum_guard():
 
 
 def test_E_sum_examples():
-    assert abs(es.E_sum(0, 0, 5).value - 4) < 1e-12
-    assert abs(es.E_sum(3, 7, 1).value - 1) < 1e-12
-    assert abs(es.E_sum(0, 1, 5).value - (math.sqrt(5) - 1)) < 1e-12
+    assert abs(es.E_sum(0, 0, 5) - 4) < 1e-12
+    assert abs(es.E_sum(3, 7, 1) - 1) < 1e-12
+    assert abs(es.E_sum(0, 1, 5) - (math.sqrt(5) - 1)) < 1e-12
 
 
 def test_abs_error_budget():
-    v = es.E_sum(3, 5, 9973)
-    assert v.abs_error <= 1e-12 * 9973
-    assert abs(v.value) <= v.term_count + v.abs_error
+    # |S| <= #terms = phi(9973), up to the summation error
+    assert abs(es.E_sum(3, 5, 9973)) <= 9972 + 1e-12 * 9973
 
 
 def test_frame_validation():
@@ -49,11 +48,11 @@ def test_frame_validation():
 
 def test_cal_E_examples():
     fr = es.CongruenceFrame(1, 1, 1, 5)
-    assert abs(es.cal_E(fr, 0, 0).value - 20) < 1e-12
+    assert abs(es.cal_E(fr, 0, 0) - 20) < 1e-12
     fr1 = es.CongruenceFrame(1, 1, 1, 1)
-    assert abs(es.cal_E(fr1, 3, -2).value - 1) < 1e-12
+    assert abs(es.cal_E(fr1, 3, -2) - 1) < 1e-12
     c, d = es.E_arguments(fr, 1, 0)
-    assert abs(es.cal_E(fr, 1, 0).value - es.E_sum(c, d, 25).value) < 1e-10
+    assert abs(es.cal_E(fr, 1, 0) - es.E_sum(c, d, 25)) < 1e-10
 
 
 def test_exptrans_identity_sweep():
@@ -62,16 +61,16 @@ def test_exptrans_identity_sweep():
             fr = es.CongruenceFrame(k2, k3, h, l)
             for m, n in ((0, 0), (1, 2), (-3, 3), (2, -1)):
                 c, d = es.E_arguments(fr, m, n)
-                dev = abs(es.cal_E(fr, m, n).value - es.E_sum(c, d, l * l).value)
+                dev = abs(es.cal_E(fr, m, n) - es.E_sum(c, d, l * l))
                 assert dev < 1e-8 * l * l
 
 
 def test_evaluate_E_explicit_examples():
     fr = es.CongruenceFrame(1, 1, 1, 5)
-    assert es.evaluate_E_explicit(fr, 5, 1).value == 0  # d = 5 does not divide 1
-    assert abs(es.evaluate_E_explicit(fr, 0, 0).value - 20) < 1e-12
+    assert es.evaluate_E_explicit(fr, 5, 1) == 0  # d = 5 does not divide 1
+    assert abs(es.evaluate_E_explicit(fr, 0, 0) - 20) < 1e-12
     c, d = es.E_arguments(fr, 1, 1)
-    dev = abs(es.evaluate_E_explicit(fr, 1, 1).value - es.E_sum(c, d, 25).value)
+    dev = abs(es.evaluate_E_explicit(fr, 1, 1) - es.E_sum(c, d, 25))
     assert dev < 1e-9
 
 
@@ -87,7 +86,7 @@ def test_evaluate_E_explicit_vs_brute(l):
             n = int(rng.integers(-2 * l, 2 * l + 1))
             c, d = es.E_arguments(fr, m, n)
             dev = abs(
-                es.evaluate_E_explicit(fr, m, n).value - es.E_sum(c, d, l * l).value
+                es.evaluate_E_explicit(fr, m, n) - es.E_sum(c, d, l * l)
             )
             assert dev < 1e-8 * (l * l + 1), (l, h, m, n)
 
@@ -99,7 +98,7 @@ def test_gauss_f():
     for q in (3, 5, 7, 15, 21, 35):
         for c in range(1, q):
             if math.gcd(c, q) == 1:
-                assert abs(es.gauss_f(c, q) - es.E_sum(0, c, q).value) < 1e-9 * q
+                assert abs(es.gauss_f(c, q) - es.E_sum(0, c, q)) < 1e-9 * q
     with pytest.raises(ValueError):
         es.gauss_f(1, 4)
     with pytest.raises(ValueError):
@@ -116,19 +115,17 @@ def test_kloosterman_flip():
 
 def test_lemma3():
     p = es.PhasePolynomial((2, 0, 2), 4)
-    res = es.lemma3_reduce(p, 2)
-    assert not res.is_zero and res.factor == 2
-    assert res.reduced.modulus == 2 and res.reduced.coeffs == (1, 0, 1)
-    direct = es.raw_phase_sum(p).value
-    assert abs(direct - 2 * es.raw_phase_sum(res.reduced).value) < 1e-12
+    reduced = es.lemma3_reduce(p, 2)
+    assert reduced == es.PhasePolynomial((1, 0, 1), 2)
+    direct = es.raw_phase_sum(p)
+    assert abs(direct - 2 * es.raw_phase_sum(reduced)) < 1e-12
     assert abs(direct - 4) < 1e-12
 
-    res0 = es.lemma3_reduce(es.PhasePolynomial((1, 0, 2), 4), 2)
-    assert res0.is_zero
-    assert abs(es.raw_phase_sum(es.PhasePolynomial((1, 0, 2), 4)).value) < 1e-12
+    # 2 does not divide c1: the sum is exactly 0
+    assert es.lemma3_reduce(es.PhasePolynomial((1, 0, 2), 4), 2) is None
+    assert abs(es.raw_phase_sum(es.PhasePolynomial((1, 0, 2), 4))) < 1e-12
 
-    ident = es.lemma3_reduce(p, 1)
-    assert ident.factor == 1 and ident.reduced.coeffs == p.coeffs
+    assert es.lemma3_reduce(p, 1) == p
 
     with pytest.raises(ValueError):
         es.lemma3_reduce(es.PhasePolynomial((0, 1, 2), 4), 2)  # 2 does not divide c2
@@ -165,21 +162,38 @@ def test_F_explicit_matches_brute():
         for u in (-5, -1, 0, 1, 3):
             ex = es.F_explicit(u, mt, 1, 1, 1)
             br = es.F_explicit_bruteforce(u, mt, 1, 1, 1)
-            assert abs(ex.value - br.value) < 1e-9 * (mt * mt + 1)
+            assert abs(ex - br) < 1e-9 * (mt * mt + 1)
     # no-root case gives exactly 0: x^2 = -3bar*4 = 2 (mod 5) is a non-residue
-    assert es.F_explicit(4, 5, 1, 1, 1).value == 0
-    assert abs(es.F_explicit_bruteforce(4, 5, 1, 1, 1).value) < 1e-12
+    assert es.F_explicit(4, 5, 1, 1, 1) == 0
+    assert abs(es.F_explicit_bruteforce(4, 5, 1, 1, 1)) < 1e-12
     # u = 0 with square-free modulus: only the zero root
-    assert abs(es.F_explicit(0, 35, 1, 1, 1).value - 35) < 1e-12
+    assert abs(es.F_explicit(0, 35, 1, 1, 1) - 35) < 1e-12
 
 
 def test_crt_split_check():
-    r = es.crt_split_check(1, 1, 1, 5, 1, 1, 7, 1)
-    assert r.ok()
-    assert es.crt_split_check(1, 1, 1, 5, 1, 1, 1, 0).ok()  # mtilde = 1 trivial factor
-    assert es.crt_split_check(2, 3, 1, 5, 7, 2, 11, 3).ok()
+    # (k2, k3, h, d, l1, m*, mtilde, u); mtilde = 1 is the trivial factor
+    for args in ((1, 1, 1, 5, 1, 1, 7, 1), (1, 1, 1, 5, 1, 1, 1, 0), (2, 3, 1, 5, 7, 2, 11, 3)):
+        k2, k3, h, d, l1, mstar, mtilde, u = args
+        modulus = k3**3 * h * d * mstar**2 * mtilde**2
+        assert max(es.crt_split_check(*args)) <= 1e-8 * (modulus + 1), args
     with pytest.raises(ValueError):
         es.crt_split_check(1, 1, 1, 5, 5, 1, 7, 1)  # l1 shares a factor with d
+
+
+def test_lemma1_ratio():
+    # c = d = 0: |E(0, 0; q)| = phi(q) and (0, 0, q) = q, so phi(q) / (q d(q)^2)
+    assert abs(es.lemma1_ratio(0, 0, 7) - 6 / 28) < 1e-12
+    assert abs(es.lemma1_ratio(0, 0, 12) - 4 / 432) < 1e-12
+    # (3, 6, 9) = 3 and d(9) = 3
+    want = abs(es.E_sum(3, 6, 9)) / (math.sqrt(3) * 3 * 9)
+    assert abs(es.lemma1_ratio(3, 6, 9) - want) < 1e-12
+
+
+def test_suite_details_pin_counts(suite_run):
+    """The integer details of two expsum checks, at seed 0."""
+    run = suite_run("expsum")
+    assert run.check("F_explicit_vs_brute").detail == "142 empty-root cases"
+    assert run.check("lemma3_500_random").detail == "324 zero certificates"
 
 
 def test_multiplicativity():

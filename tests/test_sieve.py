@@ -252,6 +252,19 @@ def test_naive_squarefree_count_cap(monkeypatch):
             sv.naive_squarefree_count(X)
 
 
+def test_naive_weighted_sum_and_S_term_caps(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the cap was checked")
+
+    for name in ("empty", "ones", "zeros", "arange"):
+        monkeypatch.setattr(sv.np, name, no_alloc)
+    for X in (3.01, 3.5, 4):
+        with pytest.raises(ValueError):
+            sv.naive_weighted_sum(X)
+        with pytest.raises(ValueError):
+            sv.S_term(X, 2)
+
+
 def test_stripe_B_sum_invariant(monkeypatch):
     """B -> -B fixes Delta, so every stripe's marks are their own mirror; a
     count whose stage 2 breaks the symmetry is refused, naming the stripe,

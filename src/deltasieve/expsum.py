@@ -482,7 +482,7 @@ def F_explicit_bruteforce(u: int, mtilde: int, k2: int, q: int, l1: int) -> comp
 
 @dataclass(frozen=True)
 class PoissonCheckResult:
-    lhs: float
+    lhs: complex
     delta: float
 
     @property

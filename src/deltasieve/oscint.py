@@ -13,8 +13,21 @@ term and leaves the Airy integral (DLMF 9.5.1):
     E = pi/(54 beta^2) + pi alpha/(3 beta),   x = c (2 pi alpha + pi/(6 beta)).
 
 I1 follows by the chain rule with Ai'.  Both are evaluated with mpmath's
-``airyai``; the working digits grow with |E| and |x|^(3/2), because exp(E)
-cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).
+``airyai``, on its cheap branches:
+
+- below x = -8 the connection formula Ai(x) = 2 Re[w Ai(-x w)],
+  w = e^(i pi/3) (DLMF 9.2.11), and its derivative take Ai at real part
+  -x/2 > 4, where mpmath sums an asymptotic series (its branch point is
+  4); at real x below about -11 it goes through hyp0f1's Bessel route,
+  about 3x slower.  Where that series cannot reach the working digits
+  (at 22 digits, -14.75 < x < -8) mpmath falls back to a slower route;
+- the working digits, 20 + log10(1 + |E| + |x|^(3/2)), grow because exp(E)
+  cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).  They come
+  from a float bound in logarithms, never below the exact count;
+- for x > 0, 0 < Ai(x) < exp(-zeta) / (2 sqrt(pi) x^(1/4)) with
+  zeta = 2 x^(3/2) / 3 (DLMF 9.7.15), so an I whose bound lies an e below
+  2^-1075 is +0.0 without Ai.  The bound is tested at the working
+  precision: at beta = 1e-9, E and zeta are both about 5.8e16.
 """
 
 from __future__ import annotations
@@ -26,6 +39,10 @@ import numpy as np
 from mpmath import mp
 
 from .weights import gauss
+
+_LN10 = math.log(10)
+# one e below log(2^-1075): a positive double under 2^-1075 rounds to +0.0
+_LOG_ZERO = -1075 * math.log(2) - 1
 
 
 @dataclass(frozen=True)
@@ -56,27 +73,76 @@ def _airy_args(a, b):
     return c, E, c * (2 * mp.pi * a + mp.pi / (6 * b))
 
 
+def _log_sum(*logs: float) -> float:
+    """log(sum exp(l)) over ``logs``, finite whenever the largest is."""
+    m = max(logs)
+    return m + math.log(sum(math.exp(l - m) for l in logs))
+
+
+def _digits(alpha: float, beta: float, s: float | None) -> int:
+    """Working digits: 20 + log10(1 + |E| + |x|^(3/2)), and for I1 (s set)
+    another log10(1 + |pa| + |px|).
+
+    Each of |E|, |x|, |pa|, |px| is bounded by the sum of its terms' moduli,
+    in logarithms, so the count is never below the exact one and is finite
+    for every beta > 0 (beta^2 may underflow).  1e-9 absorbs the rounding
+    of the float logarithms.
+    """
+    lb = math.log(beta)
+    la = math.log(abs(alpha)) if alpha else -math.inf
+    lc = -(math.log(6 * math.pi) + lb) / 3
+    lE = _log_sum(math.log(math.pi / 54) - 2 * lb, math.log(math.pi / 3) + la - lb)
+    lx = lc + _log_sum(math.log(2 * math.pi) + la, math.log(math.pi / 6) - lb)
+    dps = 20 + int(_log_sum(0.0, lE, 1.5 * lx) / _LN10 + 1e-9)
+    if s is None:
+        return dps
+    lpa = _log_sum(
+        math.log(4 / 3), math.log(4 * math.pi / 27) - 2 * lb, math.log(2 * math.pi / 3) + la - lb
+    )
+    # |px| <= 4|x|/3 + 2 pi c/(3 beta) + 4 pi |alpha| c, with |x| bounded as above
+    lpx = lc + _log_sum(math.log(20 * math.pi / 3) + la, math.log(8 * math.pi / 9) - lb)
+    return dps + int(_log_sum(0.0, lpa, lpx) / _LN10 + 1e-9)
+
+
+def _ai(x, n: int):
+    """Ai(x) (n = 0) or Ai'(x) (n = 1) at real x.
+
+    Below -8 the connection formula Ai(x) = 2 Re[w Ai(-x w)], w = e^(i pi/3)
+    (DLMF 9.2.11), and its derivative Ai'(x) = -2 Re[w^2 Ai'(-x w)] move the
+    argument to real part -x/2 > 4, where mpmath tries its asymptotic
+    series before anything else.
+    """
+    if x < -8:
+        w = mp.mpc(0.5, mp.sqrt(3) / 2)
+        v = mp.airyai(-x * w, derivative=n)
+        return 2 * (w * v).real if n == 0 else -2 * (w * w * v).real
+    return mp.airyai(x, derivative=n)
+
+
 def _airy_eval(alpha: float, beta: float, s: float | None) -> complex:
     """I (s None) or I1 at s through Ai and Ai', to ~15 significant digits.
 
     Relative errors in E and x are amplified by |E| and by |x|^(3/2) (the
-    exponent of Ai's decay or the phase of its oscillation), so 20 digits
-    are kept beyond log10(1 + |E| + |x|^(3/2)).
+    exponent of Ai's decay or the phase of its oscillation), and I1 loses
+    about log10(|pa| + |px|) more to the cancellation between its two
+    terms, so 20 digits are kept beyond both (`_digits`).
     """
-    with mp.workdps(15):
-        _, E, x = _airy_args(mp.mpf(alpha), mp.mpf(beta))
-        dps = 20 + int(mp.log10(1 + abs(E) + abs(x) ** 1.5))
-    with mp.workdps(dps):
+    with mp.workdps(_digits(alpha, beta, s)):
         a, b = mp.mpf(alpha), mp.mpf(beta)
         c, E, x = _airy_args(a, b)
+        # I < sqrt(pi) c e^(E - zeta) / x^(1/4) rounds to +0.0
+        if s is None and x > 0 and (
+            E + mp.log(mp.pi * c * c / mp.sqrt(x)) / 2 - 2 * x**1.5 / 3 < _LOG_ZERO
+        ):
+            return 0j
         scale = 2 * mp.pi * c * mp.exp(E)
         if s is None:
-            return complex(float(scale * mp.airyai(x)))
+            return complex(float(scale * _ai(x, 0)))
         # d/ds = (4 beta/s) d/dbeta + (2 alpha/s) d/dalpha of log(c) + E
         # (the Ai factor) and of x (the Ai' factor)
         pa = -mp.mpf(4) / 3 - 4 * mp.pi / (27 * b * b) - 2 * mp.pi * a / (3 * b)
         px = -4 * x / 3 - 2 * mp.pi * c / (3 * b) + 4 * mp.pi * a * c
-        v = scale * (pa * mp.airyai(x) + px * mp.airyai(x, derivative=1)) / s
+        v = scale * (pa * _ai(x, 0) + px * _ai(x, 1)) / s
         return complex(float(v))
 
 

@@ -150,16 +150,106 @@ def test_quadrature_matches_mpmath(alpha, beta, tol, s):
 
 
 def test_mp_precision_restored():
-    # density reads the global mpmath context; beta = 1e-9 works at ~37 digits
+    # density reads the global mpmath context; beta = 1e-9 works at ~37
+    # digits, (-250, 9) takes the rotated Ai and (250, 9) returns before Ai
     saved = mp.dps
     try:
         mp.dps = 21
-        p = oi.OscillatoryProblem(1.5, 1e-9)
-        oi.I_eval(p)
-        oi.I1_eval(p, 1.0)
-        assert mp.dps == 21
+        for alpha, beta in ((1.5, 1e-9), (-250.0, 9.0), (250.0, 9.0)):
+            p = oi.OscillatoryProblem(alpha, beta)
+            oi.I_eval(p)
+            oi.I1_eval(p, 1.0)
+            assert mp.dps == 21
     finally:
         mp.dps = saved
+
+
+def _direct_route(alpha, beta, s=None, dps=None):
+    """I (s None) or I1 at s through mp.airyai at the real point x itself.
+
+    With dps None the digits follow the 15-digit rule of the route before
+    `oscint._digits`: 20 + int(log10(1 + |E| + |x|^(3/2))) from a first
+    pass over the closed-form arguments."""
+    if dps is None:
+        with mp.workdps(15):
+            _, E, x = oi._airy_args(mp.mpf(alpha), mp.mpf(beta))
+            dps = 20 + int(mp.log10(1 + abs(E) + abs(x) ** 1.5))
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        c, E, x = oi._airy_args(a, b)
+        scale = 2 * mp.pi * c * mp.exp(E)
+        if s is None:
+            return complex(float(scale * mp.airyai(x)))
+        pa = -mp.mpf(4) / 3 - 4 * mp.pi / (27 * b * b) - 2 * mp.pi * a / (3 * b)
+        px = -4 * x / 3 - 2 * mp.pi * c / (3 * b) + 4 * mp.pi * a * c
+        v = scale * (pa * mp.airyai(x) + px * mp.airyai(x, derivative=1)) / s
+        return complex(float(v))
+
+
+def _bits(v):
+    return v.real.hex(), v.imag.hex()  # hex keeps the sign of a zero
+
+
+def _context_points():
+    """(alpha, beta, s) of the station band (s = 1) and the omega contexts."""
+    pts = [(a, b, 1.0) for a, b in oi.default_station_grid()]
+    for ctx in oi.omega_contexts():
+        alpha, beta, _ = oi.param_map(ctx)
+        pts.append((alpha, beta, ctx.s))
+    return pts
+
+
+def test_I_eval_bit_identical_to_direct_route():
+    # beta = 9: all three Ai regions, and values from subnormal to 0 near
+    # u = 95..110; beta = 1e-9: normal, subnormal and 0 over alpha 15..15.5
+    pts = [(float(u), 9.0) for u in range(-250, 251)]
+    pts += [(15.0 + k / 20, 1e-9) for k in range(11)]
+    pts += [(a, b) for a, b, _ in _context_points()]
+    pts += [(1.5, 1e-150), (1.5, 1e-200), (-3.0, 1e-200)]
+    kinds = set()
+    for alpha, beta in pts:
+        v = oi.I_eval(oi.OscillatoryProblem(alpha, beta))
+        assert _bits(v) == _bits(_direct_route(alpha, beta)), (alpha, beta)
+        assert v.imag == 0.0
+        kinds.add("zero" if v == 0 else "subnormal" if abs(v) < 2.0**-1022 else "normal")
+    assert kinds == {"zero", "subnormal", "normal"}
+
+
+def test_I1_eval_bit_identical_to_direct_route():
+    pts = [(float(u), 9.0, 8.0) for u in range(-250, 251, 5)]
+    pts += _context_points()
+    pts += [(a, b, 1.0) for b in (1e-2, 0.1) for a in (-30.0, -3.0, 0.0, 1.5, 30.0)]
+    for alpha, beta, s in pts:
+        v = oi.I1_eval(oi.OscillatoryProblem(alpha, beta), s)
+        assert _bits(v) == _bits(_direct_route(alpha, beta, s)), (alpha, beta, s)
+
+
+@pytest.mark.parametrize("beta", [1e-9, 1e-7, 1e-6, 1e-4])
+@pytest.mark.parametrize("s", [1.0, 8.0])
+def test_I1_small_beta_matches_120_digits(beta, s):
+    # at alpha = 0 the two terms of I1 cancel to ~beta / s of their size
+    v = oi.I1_eval(oi.OscillatoryProblem(0.0, beta), s)
+    ref = _direct_route(0.0, beta, s, dps=120)
+    assert v.imag == 0.0
+    assert abs(v.real - ref.real) <= 1e-14 * abs(ref.real)
+
+
+def test_airy_routing(monkeypatch):
+    # the u-sum at beta = 9 calls airyai only on its cheap branches: no real
+    # argument below -8, and no call where I rounds to 0 (u >= 120)
+    calls = []
+    airyai = mp.airyai
+
+    def recording(z, derivative=0):
+        calls.append((u, z))
+        return airyai(z, derivative=derivative)
+
+    monkeypatch.setattr(mp, "airyai", recording)
+    for u in range(-250, 251):
+        oi.I_eval(oi.OscillatoryProblem(float(u), 9.0))
+    assert all(isinstance(z, mp.mpc) or z >= -8 for _, z in calls)
+    assert any(isinstance(z, mp.mpc) for _, z in calls)
+    assert calls and max(u for u, _ in calls) < 120
 
 
 def test_no_scipy_import():

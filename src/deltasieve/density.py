@@ -123,6 +123,29 @@ def _tail_log_interval(P: int, head2: mp.mpf, head3: mp.mpf) -> tuple[mp.mpf, mp
     return main - slack, main + rem_hi + slack
 
 
+def _fixed_point_walk(theorem: int, prime_bound: int, one: int) -> tuple[int, int, int]:
+    """The prime loop of `euler_product`: (partial product, sum p^-2,
+    sum p^-3) over p <= prime_bound, scaled by one = 2^K and rounded down
+    at each step.
+
+    As floor(floor(x / a) / b) = floor(x / (a b)) for x >= 0, the integers
+    equal those of dividing by p^4, p^2 and p^3 at once, but each division
+    is by p alone, one digit of a Python int for p < 2^30."""
+    num, head2, head3 = one, 0, 0
+    is_p = prime_sieve(prime_bound)
+    for lo in range(0, prime_bound + 1, _SEGMENT):
+        for p in (np.flatnonzero(is_p[lo : lo + _SEGMENT]) + lo).tolist():
+            if theorem == 1:
+                s = sigma(p * p) if p <= 100 else 2 * p * p - p
+                num -= num * s // p // p // p // p
+            elif p > 3:
+                num -= num * (2 * p - 1) // p // p // p
+            q = one // p // p
+            head2 += q
+            head3 += q // p
+    return num, head2, head3
+
+
 def euler_product(theorem: int, prime_bound: int) -> EulerProductResult:
     """The main-term constant as a certified interval.
 
@@ -149,20 +172,7 @@ def euler_product(theorem: int, prime_bound: int) -> EulerProductResult:
     if prime_bound < 5:
         raise ValueError("prime bound must be >= 5")
     K = 4 * (EULER_DPS + 15) + 64
-    one = 1 << K
-    num, head2, head3 = one, 0, 0
-    is_p = prime_sieve(prime_bound)
-    for lo in range(0, prime_bound + 1, _SEGMENT):
-        for p in (np.flatnonzero(is_p[lo : lo + _SEGMENT]) + lo).tolist():
-            p2 = p * p
-            p3 = p2 * p
-            if theorem == 1:
-                s = sigma(p2) if p <= 100 else 2 * p2 - p
-                num -= num * s // (p2 * p2)
-            elif p > 3:
-                num -= num * (2 * p - 1) // p3
-            head2 += one // p2
-            head3 += one // p3
+    num, head2, head3 = _fixed_point_walk(theorem, prime_bound, 1 << K)
     with mp.workdps(EULER_DPS + 15):
         partial = mp.ldexp(mp.mpf(num), -K)
         if theorem == 2:

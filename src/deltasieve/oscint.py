@@ -19,8 +19,9 @@ I1 follows by the chain rule with Ai'.  Both are evaluated with mpmath's
   w = e^(i pi/3) (DLMF 9.2.11), and its derivative take Ai at real part
   -x/2 > 4, where mpmath sums an asymptotic series (its branch point is
   4); at real x below about -11 it goes through hyp0f1's Bessel route,
-  about 3x slower.  Where that series cannot reach the working digits
-  (at 22 digits, -14.75 < x < -8) mpmath falls back to a slower route;
+  about 3x slower.  Where that series cannot reach the working digits,
+  (4/3) |x|^(3/2) <= prec ln 2 + 23 (at 22 digits, -14.77 < x < -8),
+  mpmath would fall back to a slower route still, so Ai is taken at x;
 - the working digits, 20 + log10(1 + |E| + |x|^(3/2)), grow because exp(E)
   cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).  They come
   from a float bound in logarithms, never below the exact count;
@@ -41,6 +42,7 @@ from mpmath import mp
 from .weights import gauss
 
 _LN10 = math.log(10)
+_LN2 = math.log(2)
 # one e below log(2^-1075): a positive double under 2^-1075 rounds to +0.0
 _LOG_ZERO = -1075 * math.log(2) - 1
 
@@ -110,9 +112,13 @@ def _ai(x, n: int):
     Below -8 the connection formula Ai(x) = 2 Re[w Ai(-x w)], w = e^(i pi/3)
     (DLMF 9.2.11), and its derivative Ai'(x) = -2 Re[w^2 Ai'(-x w)] move the
     argument to real part -x/2 > 4, where mpmath tries its asymptotic
-    series before anything else.
+    series before anything else.  The terms of that series fall to about
+    e^(-(4/3) |x|^(3/2)) at their least, so it reaches the working precision
+    only when (4/3) |x|^(3/2) > prec ln 2 + 23 (the 23 measured from 17 to
+    60 digits); short of that mpmath falls back to a route several times
+    slower than Ai at x itself, which is called there instead.
     """
-    if x < -8:
+    if x < -8 and 4 * float(-x) ** 1.5 / 3 > mp.prec * _LN2 + 23:
         w = mp.mpc(0.5, mp.sqrt(3) / 2)
         v = mp.airyai(-x * w, derivative=n)
         return 2 * (w * v).real if n == 0 else -2 * (w * w * v).real

@@ -22,7 +22,7 @@ On that domain Delta is prime to 6, and for p >= 5:
 
 A count runs in two stages.
 
-Stage 1 (roots) works on blocks of the primes 5 <= p < P = L // 12,
+Stage 1 (roots) works on blocks of the primes 5 <= p < P = L // _FLIP,
 L = 2 Bmax + 1.  Per block it takes square roots mod p only of the
 primes l <= max |A| and of +-3, twisted so that every l has one:
 rho(l)^2 = l z^f, z the prime's fixed non-residue and f the Legendre
@@ -38,9 +38,12 @@ The primes p >= P go by the cofactor, as the k > xi tail passes to the
 complementary factor (`_RootStage.cofactor`).  On the domain, Delta = 3
 or 7 (mod 8) and 3 does not divide Delta, so p^2 | Delta means
 Delta = k p^2 with such a k and |k| <= Delta_max / P^2, whether p | A or
-not.  As B^2 = 1 (mod 8), a stripe's Delta lie in one of 12 classes mod
-216, 4 A^3 + 27.  Each k p^2 of its class in 4 A^3 + [27, 27 Bmax^2]
-gives one candidate B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when integer.
+not.  As B^2 = 1 (mod 8) and B^2 is one of the 12 squares s mod 35, a
+stripe's Delta lie in 12 classes mod 7,560 = 216 * 35, 4 A^3 + 27 s'
+with s' = 1 (mod 8) and s' = s (mod 35), one window each.  Each k p^2
+of a window's class in 4 A^3 + [27, 27 Bmax^2] gives one candidate
+B = +-sqrt((k p^2 - 4 A^3) / 27), a hit when integer; about 12/35 as
+many candidates as one window mod 216 would give.
 
 Stage 2 (rows) marks one stripe at a time in a reused buffer of its W
 odd B (`_mark_row`): a progression is one stride from its first cell,
@@ -405,11 +408,17 @@ def _lift_cusp(tab: _Table, pr: _Primes, plan: _Plan, s: int, i, c, r) -> np.nda
 # ---------------------------------------------------------------------------
 # stage 1: roots, one block of primes at a time
 
-# table entries (primes x columns) per prime block, and candidates per
-# chunk of the cofactor scan: bounds their temporaries to about a MiB
+# table entries (primes x columns) per prime block, and keys or candidates
+# per chunk of the cofactor scan: bounds their temporaries to about a MiB
 _TABLE = 1 << 15
 
-_FLIP = 12  # root tables take p < P = L // _FLIP, the cofactor scan p >= P
+_FLIP = 24  # root tables take p < P = L // _FLIP, the cofactor scan p >= P
+
+# the cofactor scan keys Delta by its class mod _KEY = 216 * 35: at odd B,
+# 27 B^2 = 27 (B^2 mod 280) (mod _KEY) takes the 12 values _SHIFTS, as
+# B^2 = 1 (mod 8) and B^2 is one of the 12 squares mod 35
+_KEY = 7560
+_SHIFTS = 27 * np.array(sorted({b * b % 280 for b in range(1, 280, 2)}))
 
 
 def _odd_span(Bmax: int) -> tuple[int, int]:
@@ -448,6 +457,13 @@ _BATCH = 64
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
     return np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _chunks(n: np.ndarray) -> list[np.ndarray]:
+    """The indices of n in runs of consecutive ones, each summing n to
+    about _TABLE."""
+    cuts = np.searchsorted(np.cumsum(n), np.arange(_TABLE, int(n.sum()), _TABLE))
+    return np.split(np.arange(n.size), cuts)
 
 
 def _merge(parts) -> _Found:
@@ -509,34 +525,46 @@ class _RootStage:
 
     def cofactor(self, deadline: Deadline) -> _Found:
         """The hits of the primes p >= P at odd B, by the cofactor k = Delta / p^2
-        (3 mod 4, prime to 3): one sorted array of keys by class k p^2 mod 216,
-        one window per stripe in its class 4 A^3 + 27, chunks of about _TABLE."""
+        (3 mod 4, prime to 3): one sorted array of keys by class k p^2 mod _KEY,
+        12 windows per stripe, one per class 4 A^3 + 27 s (s a square mod 35).
+        Keys are built, and windows scanned, in chunks of about _TABLE."""
         a3 = 4 * self.As**3
         top = 4 * int(np.abs(self.As).max(initial=0)) ** 3 + 27 * self.Bmax**2
         ps = np.asarray(primes_up_to(math.isqrt(top))[2:], dtype=np.int64)
         p2 = ps[ps >= self.P] ** 2
-        cls = (a3 + 27) % 216
+        cls = (a3[:, None] + _SHIFTS) % _KEY  # window j of stripe i at i * 12 + j
+        want = np.zeros(_KEY, dtype=bool)
+        want[cls] = True  # a third of the classes of k p^2: A^3 is a cube mod 27
         span = 2 * top + 2
         kmax = top // int(p2[0]) if p2.size else 0
         a = np.arange(1, kmax + 1)
         a = a[(a % 2 == 1) & (a % 3 != 0)]
         k = np.where(a % 4 == 3, a, -a)  # k = 3 (mod 4), by |k| = a
         n = np.searchsorted(a, top // p2, side="right")  # |k| p^2 <= top
-        kp2 = k[_ranges(np.zeros_like(n), n)] * np.repeat(p2, n)
-        kp2 = kp2[np.isin(kp2 % 216, cls, kind="table")]  # 12 of 216 classes
-        keys = np.sort(kp2 % 216 * span + kp2 + top)
-        base = cls * span + top + a3  # the key of k p^2 = Delta(A, 0)
+        keys = [_NONE]
+        for ix in _chunks(n):
+            kp2 = k[_ranges(np.zeros_like(ix), n[ix])] * np.repeat(p2[ix], n[ix])
+            kp2 = kp2[want[kp2 % _KEY]]
+            keys.append(kp2 % _KEY * span + kp2 + top)
+        keys = np.concatenate(keys)
+        keys.sort()
+        # the key of k p^2 = Delta(A, 0) in each class; Delta(A, B) for B^2 = s
+        # (mod 35) lies in the class of window s, so each B is in one window
+        base = (cls * span + top + a3[:, None]).ravel()
         lo, hi = np.searchsorted(keys, np.stack([base + 27, base + 27 * self.Bmax**2 + 1]))
         n = hi - lo
-        cuts = np.searchsorted(np.cumsum(n), np.arange(_TABLE, int(n.sum()), _TABLE))
         hits = [_NONE]
-        for rows in np.split(np.arange(a3.size), cuts):
+        for wins in _chunks(n):
             deadline.check()
-            row = np.repeat(rows, n[rows])
-            v = keys[_ranges(lo[rows], n[rows])] - base[row]
-            b = np.rint(np.sqrt(v / 27)).astype(np.int64)
-            sq = 27 * b * b == v
-            flat, B = self.live[row[sq]] * self.W, b[sq]  # B is odd, as Delta is
+            m = n[wins]
+            # B^2 = (k p^2 - 4 A^3) / 27 is an integer below 2^53, so the float
+            # sqrt of a square is exact, and r * r == B^2 tests it exactly
+            B2 = (keys[_ranges(lo[wins], m)] - np.repeat(base[wins], m)) / 27
+            r = np.rint(np.sqrt(B2))
+            sq = np.flatnonzero(r * r == B2)
+            win = wins[np.searchsorted(np.cumsum(m), sq, side="right")]
+            flat = self.live[win // _SHIFTS.size] * self.W
+            B = r[sq].astype(np.int64)  # B is odd, as Delta is
             hits += [flat + (B - self.lo) // 2, flat - (B + self.lo) // 2]
         return _Found(np.concatenate(hits), _NONE, _NONE, _NONE)
 
@@ -596,7 +624,7 @@ def _marked_rows(As: np.ndarray, Bmax: int, found: _Found, deadline: Deadline):
 
 def _check_int64_headroom(Amax: int, pmax: int):
     """Every int64 intermediate of the kernel is below 27 pmax^2 + 4 Amax^3
-    or 432 (pmax + 1)^2:
+    or 2 _KEY (pmax + 1)^2 = 15,120 (pmax + 1)^2:
 
       * residues mod p are below p < P <= pmax, so products of two of them,
         n rho(n) (n <= Amax <= pmax) and the lifted roots r + p k are
@@ -604,12 +632,16 @@ def _check_int64_headroom(Amax: int, pmax: int):
       * the Hensel step's 27 r^2 + 4 A^3 (r < p) is below
         27 pmax^2 + 4 Amax^3 in absolute value;
       * with pmax = isqrt(Delta_max), the cofactor scan keeps
-        |k| p^2 <= top = Delta_max < (pmax + 1)^2, its keys (class < 216)
-        below 216 (2 top + 2) <= 432 (pmax + 1)^2, and hit indices
+        |k| p^2 <= top = Delta_max < (pmax + 1)^2, so 2 top + 2 <=
+        2 (pmax + 1)^2; a key class * (2 top + 2) + k p^2 + top, and a
+        window end class * (2 top + 2) + top + 4 A^3 + 27 Bmax^2 + 1, has
+        class < _KEY and its last terms at most 2 top + 1, so it is below
+        _KEY (2 top + 2) <= 2 _KEY (pmax + 1)^2 (so top < 2^50, and its
+        B^2 = (k p^2 - 4 A^3) / 27 are exact in float64); hit indices
         stripe * W + column (W <= Bmax + 1 odd columns) are below
         (2 Amax + 1)(Bmax + 1) <= Delta_max;
       * a progression's first cell comes from (r - lo) mod m + m < 2 L."""
-    if max(27 * pmax**2 + 4 * Amax**3, 432 * (pmax + 1) ** 2) >= 2**63:
+    if max(27 * pmax**2 + 4 * Amax**3, 2 * _KEY * (pmax + 1) ** 2) >= 2**63:
         raise ValueError(f"int64 headroom: a kernel value would reach 2^63 (pmax = {pmax})")
 
 

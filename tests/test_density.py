@@ -102,6 +102,31 @@ def _euler_product_mpf(theorem: int, P: int, dps: int = 30) -> dn.EulerProductRe
         )
 
 
+def _whole_divisor_walk(theorem: int, P: int, one: int) -> tuple[int, int, int]:
+    """`density._fixed_point_walk` with one division per term, by p^4, p^3
+    or p^2 whole."""
+    num, head2, head3 = one, 0, 0
+    for p in primes_up_to(P):
+        p2 = p * p
+        p3 = p2 * p
+        if theorem == 1:
+            s = dn.sigma(p2) if p <= 100 else 2 * p2 - p
+            num -= num * s // (p2 * p2)
+        elif p > 3:
+            num -= num * (2 * p - 1) // p3
+        head2 += one // p2
+        head3 += one // p3
+    return num, head2, head3
+
+
+@pytest.mark.parametrize("P", [5, 100, 10**5])
+def test_fixed_point_walk_matches_whole_divisors(P):
+    # floor(floor(x / a) / b) = floor(x / (a b)): the same integers, bit for bit
+    one = 1 << (4 * (dn.EULER_DPS + 15) + 64)
+    for theorem in (1, 2):
+        assert dn._fixed_point_walk(theorem, P, one) == _whole_divisor_walk(theorem, P, one)
+
+
 @pytest.mark.parametrize("P", [5, 7, 100, 10**3, 10**4, 10**5, 10**6])
 def test_euler_product_matches_mpf_route(P):
     for theorem in (1, 2):

@@ -235,21 +235,28 @@ def test_I1_small_beta_matches_120_digits(beta, s):
 
 
 def test_airy_routing(monkeypatch):
-    # the u-sum at beta = 9 calls airyai only on its cheap branches: no real
-    # argument below -8, and no call where I rounds to 0 (u >= 120)
+    # the u-sum at beta = 9 and I1 over the station band call airyai only on
+    # its cheap branches: a rotated argument only where mpmath's asymptotic
+    # series reaches the working digits (under force_series it raises
+    # NoConvergence otherwise), the real x between that edge and -8, and no
+    # call where I rounds to 0 (u >= 120)
     calls = []
     airyai = mp.airyai
 
     def recording(z, derivative=0):
         calls.append((u, z))
+        if isinstance(z, mp.mpc):
+            airyai(z, derivative=derivative, force_series=True)
         return airyai(z, derivative=derivative)
 
     monkeypatch.setattr(mp, "airyai", recording)
     for u in range(-250, 251):
         oi.I_eval(oi.OscillatoryProblem(float(u), 9.0))
-    assert all(isinstance(z, mp.mpc) or z >= -8 for _, z in calls)
-    assert any(isinstance(z, mp.mpc) for _, z in calls)
     assert calls and max(u for u, _ in calls) < 120
+    for u, (alpha, beta) in enumerate(oi.default_station_grid()):
+        oi.I1_eval(oi.OscillatoryProblem(alpha, beta), 1.0)
+    assert any(isinstance(z, mp.mpc) for _, z in calls)
+    assert any(not isinstance(z, mp.mpc) and z < -8 for _, z in calls)
 
 
 def test_no_scipy_import():

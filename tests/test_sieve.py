@@ -51,8 +51,8 @@ def test_int64_headroom_guard():
     sv._check_int64_headroom(AMAX_8, PMAX_8)
     with pytest.raises(ValueError):
         sv._check_int64_headroom(0, math.isqrt(2**63 // 27) + 1)
-    # the cofactor scan's keys reach 432 (pmax + 1)^2, past 27 pmax^2
-    pmax = math.isqrt(2**63 // 432)
+    # the cofactor scan's keys reach 2 * 7560 (pmax + 1)^2, past 27 pmax^2
+    pmax = math.isqrt(2**63 // 15120)
     sv._check_int64_headroom(0, pmax - 1)
     with pytest.raises(ValueError):
         sv._check_int64_headroom(0, pmax)
@@ -554,18 +554,21 @@ def test_mark_sampled_pairs_match_squarefree(X):
 
 
 def test_large_prime_hits_match_delta_grid(monkeypatch):
-    """The cofactor scan of the primes p >= P = L // 12
+    """The cofactor scan of the primes p >= P = L // _FLIP
     (`_RootStage.cofactor`) against the Delta grid, on the cells of stage 2
     (B odd, 3 not dividing A), as flat indices stripe * W + (B - lo) / 2.
     The boxes have a short B range, where p^2 | Delta for some p >= P
     often.  Each holds cofactors k = Delta / p^2 of both signs, primes
     P <= p < L that divide A (found at p | B, which the root tables mark
-    for p < P), and hits at both ends of the window, |B| = 1 and
-    |B| = Bmax.  In the second box P = 5, so the scan takes every prime.
-    A small _TABLE splits each scan into many chunks."""
-    for Amax, Bmax, nhits in ((100, 61, 502), (200, 31, 1274)):
+    for p < P), and hits at both ends of the windows, |B| = 1 and
+    |B| = Bmax.  In the first two boxes P <= 5, so the scan takes every
+    prime; in the third P > 7.  The first and third hold hits in all 12
+    windows of a stripe, one per square B^2 mod 35 (0 included: 35 | B),
+    and hits at 5 | A and 7 | A.  A small _TABLE splits each scan into
+    many chunks."""
+    for Amax, Bmax, nhits in ((100, 61, 1338), (200, 31, 1274), (100, 121, 1014)):
         L = 2 * Bmax + 1
-        P = L // 12
+        P = L // sv._FLIP
         lo, W = sv._odd_span(Bmax)
         As = np.arange(-Amax, Amax + 1, dtype=np.int64)
         B = np.arange(lo, Bmax + 1, 2, dtype=np.int64)
@@ -580,6 +583,11 @@ def test_large_prime_hits_match_delta_grid(monkeypatch):
                 ks |= set((d[h] // (p * p)).tolist())
                 divides |= p < L and bool((h & (As[:, None] % p == 0)).any())
         assert hit.sum() == nhits and min(ks) < 0 < max(ks) and divides
+        assert (P > 7) == (Bmax == 121)
+        Ah, Bh = As[np.nonzero(hit)[0]], B[np.nonzero(hit)[1]]
+        if Bmax >= 35:
+            assert len(set((Bh * Bh % 35).tolist())) == 12
+            assert all((Ah % q == 0).any() and (Bh % q == 0).any() for q in (5, 7))
         assert hit[:, [0, -1]].any() and hit[:, [W // 2 - 1, W // 2]].any()
         assert B[[0, -1, W // 2 - 1, W // 2]].tolist() == [-Bmax, Bmax, -1, 1]
         for table in (sv._TABLE, 7):

@@ -12,23 +12,32 @@ term and leaves the Airy integral (DLMF 9.5.1):
     I(alpha, beta) = 2 pi c exp(E) Ai(x),   c = (6 pi beta)^(-1/3),
     E = pi/(54 beta^2) + pi alpha/(3 beta),   x = c (2 pi alpha + pi/(6 beta)).
 
-I1 follows by the chain rule with Ai'.  Both are evaluated with mpmath's
-``airyai``, on its cheap branches:
+I1 follows by the chain rule with Ai'.  Both are evaluated with mpmath,
+on routes where it converges at once (`_ai`; mpmath tries an asymptotic
+series first, which reaches the working digits only past the edge
+(4/3) |x|^(3/2) = prec ln 2 + 23, |x| = 14.5 at 21 digits):
 
-- below x = -8 the connection formula Ai(x) = 2 Re[w Ai(-x w)],
+- below -edge, the connection formula Ai(x) = 2 Re[w Ai(-x w)],
   w = e^(i pi/3) (DLMF 9.2.11), and its derivative take Ai at real part
-  -x/2 > 4, where mpmath sums an asymptotic series (its branch point is
-  4); at real x below about -11 it goes through hyp0f1's Bessel route,
-  about 3x slower.  Where that series cannot reach the working digits,
-  (4/3) |x|^(3/2) <= prec ln 2 + 23 (at 22 digits, -14.77 < x < -8),
-  mpmath would fall back to a slower route still, so Ai is taken at x;
-- the working digits, 20 + log10(1 + |E| + |x|^(3/2)), grow because exp(E)
-  cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).  They come
-  from a float bound in logarithms, never below the exact count;
-- for x > 0, 0 < Ai(x) < exp(-zeta) / (2 sqrt(pi) x^(1/4)) with
-  zeta = 2 x^(3/2) / 3 (DLMF 9.7.15), so an I whose bound lies an e below
-  2^-1075 is +0.0 without Ai.  The bound is tested at the working
-  precision: at beta = 1e-9, E and zeta are both about 5.8e16.
+  -x/2 > 4, where mpmath's asymptotic series converges;
+- from -edge to -8, mpmath's Maclaurin series at x itself
+  (``force_series``);
+- from 4 to edge, the Maclaurin pair of Ai and Ai' in 0F1 form
+  (DLMF 9.4.1-9.4.2), whose terms cancel to e^(-2 zeta) of their size,
+  zeta = 2 x^(3/2) / 3, so they carry (4/3) x^(3/2) / ln 2 + 16 guard
+  bits;
+- elsewhere, mpmath's ``airyai`` at x.
+
+The working digits, 20 + log10(1 + |E| + |x|^(3/2)), grow because exp(E)
+cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).  They come
+from a float bound in logarithms, never below the exact count.
+
+For x > 0, 0 < Ai(x) < exp(-zeta) / (2 sqrt(pi) x^(1/4)) (DLMF 9.7.15), so
+an I whose bound lies an e below 2^-1075 is +0.0 without Ai.  The bound is
+tested in floats before any mpmath set-up, and trusted only where it clears
+that cut by far more than its rounding (`_rounds_to_zero`): at beta = 1e-9,
+E and zeta are both about 5.8e16.  Elsewhere I is evaluated in full, which
+gives the same +0.0 wherever the bound lies below the cut.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ _LOG_ZERO = -1075 * math.log(2) - 1
 
 @dataclass(frozen=True)
 class OscillatoryProblem:
-    """The point (alpha, beta) of I and I1, with beta > 0.
+    """The finite point (alpha, beta) of I and I1, with beta > 0.
 
     ``tolerance`` states the absolute accuracy the caller accepts.  No
     evaluation reads it: the closed form is accurate to ~1e-15 |I|.  The
@@ -62,6 +71,8 @@ class OscillatoryProblem:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not 0 < self.tolerance <= 1e-6:
@@ -106,23 +117,96 @@ def _digits(alpha: float, beta: float, s: float | None) -> int:
     return dps + int(_log_sum(0.0, lpa, lpx) / _LN10 + 1e-9)
 
 
-def _ai(x, n: int):
-    """Ai(x) (n = 0) or Ai'(x) (n = 1) at real x.
+# (precision, Ai(0), Ai'(0)) at the highest precision asked for so far
+_AI_AT_0 = [0, None, None]
 
-    Below -8 the connection formula Ai(x) = 2 Re[w Ai(-x w)], w = e^(i pi/3)
-    (DLMF 9.2.11), and its derivative Ai'(x) = -2 Re[w^2 Ai'(-x w)] move the
-    argument to real part -x/2 > 4, where mpmath tries its asymptotic
-    series before anything else.  The terms of that series fall to about
-    e^(-(4/3) |x|^(3/2)) at their least, so it reaches the working precision
-    only when (4/3) |x|^(3/2) > prec ln 2 + 23 (the 23 measured from 17 to
-    60 digits); short of that mpmath falls back to a route several times
-    slower than Ai at x itself, which is called there instead.
+
+def _ai_at_0():
+    """Ai(0) = 1 / (3^(2/3) Gamma(2/3)) and Ai'(0) = -1 / (3^(1/3) Gamma(1/3))
+    (DLMF 9.2.3-9.2.4) at the current precision, rounded from the pair kept
+    at the highest precision asked for so far, as mpmath keeps its own."""
+    if _AI_AT_0[0] < mp.prec:
+        _AI_AT_0[:] = (
+            mp.prec,
+            1 / (mp.cbrt(9) * mp.gamma(mp.mpf(2) / 3)),
+            -1 / (mp.cbrt(3) * mp.gamma(mp.mpf(1) / 3)),
+        )
+    return +_AI_AT_0[1], +_AI_AT_0[2]
+
+
+def _ai(x, n: int):
+    """Ai(x) (n = 0) or Ai'(x) (n = 1) at real x, on four routes.
+
+    mpmath tries an asymptotic series first wherever it may converge: the
+    2F0 of Ai for real part > 4 and hyp0f1's own for |x| > 10.5.  Its terms
+    fall to about e^(-(4/3) |x|^(3/2)) at their least, so it reaches the
+    working precision only past the edge (4/3) |x|^(3/2) = prec ln 2 + 23
+    (the 23 measured from 17 to 60 digits; |x| = 14.5 at 21 digits).  Short
+    of the edge the attempt fails and mpmath falls back to a slower route,
+    so:
+
+    - below -edge, the connection formula Ai(x) = 2 Re[w Ai(-x w)],
+      w = e^(i pi/3) (DLMF 9.2.11), and its derivative
+      Ai'(x) = -2 Re[w^2 Ai'(-x w)] take Ai at real part -x/2 > 4, where
+      the asymptotic series converges;
+    - from -edge to -8, Ai at x itself is summed as its Maclaurin series
+      (``force_series``);
+    - from 4 to edge, Ai and Ai' come from their Maclaurin pair in 0F1 form
+      (DLMF 9.4.1-9.4.2),
+          Ai  = Ai(0) 0F1(;2/3;x^3/9) + Ai'(0) x 0F1(;4/3;x^3/9),
+          Ai' = Ai(0) (x^2/2) 0F1(;5/3;x^3/9) + Ai'(0) 0F1(;1/3;x^3/9),
+      whose two terms cancel to e^(-2 zeta) of their size, zeta =
+      (2/3) x^(3/2), so they are summed with (4/3) x^(3/2) / ln 2 + 16
+      guard bits;
+    - elsewhere mpmath's ``airyai`` is on a branch that converges at once.
     """
-    if x < -8 and 4 * float(-x) ** 1.5 / 3 > mp.prec * _LN2 + 23:
+    edge = (0.75 * (mp.prec * _LN2 + 23)) ** (2 / 3)
+    if x < -edge:
         w = mp.mpc(0.5, mp.sqrt(3) / 2)
         v = mp.airyai(-x * w, derivative=n)
         return 2 * (w * v).real if n == 0 else -2 * (w * w * v).real
+    if x < -8:
+        return mp.airyai(x, derivative=n, force_series=True)
+    if 4 < x <= edge:
+        xf = float(x)
+        with mp.workprec(mp.prec + int(4 * xf * math.sqrt(xf) / (3 * _LN2)) + 16):
+            t = x**3 / 9
+            ai0, ai1 = _ai_at_0()
+            if n == 0:
+                f = mp.hyp0f1((2, 3), t, force_series=True)
+                g = x * mp.hyp0f1((4, 3), t, force_series=True)
+            else:
+                f = x * x / 2 * mp.hyp0f1((5, 3), t, force_series=True)
+                g = mp.hyp0f1((1, 3), t, force_series=True)
+            return ai0 * f + ai1 * g
     return mp.airyai(x, derivative=n)
+
+
+def _rounds_to_zero(alpha: float, beta: float) -> bool:
+    """Whether I's bound sqrt(pi) c e^(E - zeta) / x^(1/4) (DLMF 9.7.15)
+    lies below e^_LOG_ZERO, tested in floats.
+
+    The float logarithm of the bound is off by a few ulps of the sizes of
+    its terms, and x by a few ulps of c (2 pi |alpha| + pi/(6 beta)), which
+    log(x) and zeta amplify by that size over x.  True only where the
+    logarithm lies below _LOG_ZERO by 1e-12 times those sizes, far beyond
+    its rounding; False within 1e-3 of that size of x = 0, for x < 0, for
+    beta outside (1e-100, 1e100) and for any non-finite float (a nan
+    compares False).
+    """
+    if not 1e-100 < beta < 1e100:
+        return False
+    c = (6 * math.pi * beta) ** (-1 / 3)
+    xa, xb = 2 * math.pi * alpha, math.pi / (6 * beta)
+    x, xs = c * (xa + xb), c * (abs(xa) + xb)
+    if not x > 1e-3 * xs:
+        return False
+    e1, e2 = math.pi / (54 * beta * beta), math.pi * alpha / (3 * beta)
+    zeta = 2 * x * math.sqrt(x) / 3
+    lc, lx = math.log(math.sqrt(math.pi) * c), math.log(x) / 4
+    log_bound = lc + e1 + e2 - zeta - lx
+    margin = 1e-12 * (e1 + abs(e2) + (zeta + 1) * xs / x + abs(lc) + abs(lx))
+    return log_bound < _LOG_ZERO - margin
 
 
 def _airy_eval(alpha: float, beta: float, s: float | None) -> complex:
@@ -131,16 +215,15 @@ def _airy_eval(alpha: float, beta: float, s: float | None) -> complex:
     Relative errors in E and x are amplified by |E| and by |x|^(3/2) (the
     exponent of Ai's decay or the phase of its oscillation), and I1 loses
     about log10(|pa| + |px|) more to the cancellation between its two
-    terms, so 20 digits are kept beyond both (`_digits`).
+    terms, so 20 digits are kept beyond both (`_digits`).  An I whose bound
+    rounds to 0 in floats (`_rounds_to_zero`) returns before any mpmath
+    set-up.
     """
+    if s is None and _rounds_to_zero(alpha, beta):
+        return 0j
     with mp.workdps(_digits(alpha, beta, s)):
         a, b = mp.mpf(alpha), mp.mpf(beta)
         c, E, x = _airy_args(a, b)
-        # I < sqrt(pi) c e^(E - zeta) / x^(1/4) rounds to +0.0
-        if s is None and x > 0 and (
-            E + mp.log(mp.pi * c * c / mp.sqrt(x)) / 2 - 2 * x**1.5 / 3 < _LOG_ZERO
-        ):
-            return 0j
         scale = 2 * mp.pi * c * mp.exp(E)
         if s is None:
             return complex(float(scale * _ai(x, 0)))

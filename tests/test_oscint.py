@@ -15,6 +15,15 @@ def test_problem_validation():
         oi.OscillatoryProblem(0.0, 0.0)
     with pytest.raises(ValueError):
         oi.OscillatoryProblem(0.0, 1.0, tolerance=1e-5)
+    for alpha, beta in ((math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            oi.OscillatoryProblem(alpha, beta)
+
+
+def test_I_far_below_the_rotation_edge_is_finite():
+    # -x^(3/2) at alpha = -1e250 overflows a float
+    v = oi.I_eval(oi.OscillatoryProblem(-1e250, 1.0))
+    assert math.isfinite(v.real) and v.imag == 0.0
 
 
 def test_I_at_zero_alpha_bounded():
@@ -151,17 +160,48 @@ def test_quadrature_matches_mpmath(alpha, beta, tol, s):
 
 def test_mp_precision_restored():
     # density reads the global mpmath context; beta = 1e-9 works at ~37
-    # digits, (-250, 9) takes the rotated Ai and (250, 9) returns before Ai
+    # digits, (-250, 9) takes the rotated Ai, (250, 9) returns before Ai,
+    # (8, 9) takes the 0F1 pair at raised precision and (-12, 9) the series
     saved = mp.dps
     try:
         mp.dps = 21
-        for alpha, beta in ((1.5, 1e-9), (-250.0, 9.0), (250.0, 9.0)):
+        for alpha, beta in ((1.5, 1e-9), (-250.0, 9.0), (250.0, 9.0), (8.0, 9.0), (-12.0, 9.0)):
             p = oi.OscillatoryProblem(alpha, beta)
             oi.I_eval(p)
             oi.I1_eval(p, 1.0)
             assert mp.dps == 21
     finally:
         mp.dps = saved
+
+
+def _bound_rounds_to_zero(alpha, beta):
+    """The DLMF 9.7.15 bound of I below e^_LOG_ZERO, tested in mpf at the
+    working digits."""
+    with mp.workdps(oi._digits(alpha, beta, None)):
+        c, E, x = oi._airy_args(mp.mpf(alpha), mp.mpf(beta))
+        return x > 0 and (
+            E + mp.log(mp.pi * c * c / mp.sqrt(x)) / 2 - 2 * x**1.5 / 3 < oi._LOG_ZERO
+        )
+
+
+def test_rounds_to_zero_agrees_with_working_precision():
+    # beta = 9: the u-sum; beta = 1e-9: E and zeta near 5.8e16 cancel to
+    # the cut, so a float test there rests on its rounding
+    pts = [(float(u), 9.0) for u in range(-250, 251)]
+    pts += [(15.0 + k / 20, 1e-9) for k in range(11)]
+    pts += [(-300.0 + 10 * i, 1e-3 * 10 ** (k / 8)) for k in range(41) for i in range(61)]
+    zero = {}
+    for alpha, beta in pts:
+        zero[alpha, beta] = oi._rounds_to_zero(alpha, beta)
+        if zero[alpha, beta]:
+            assert _bound_rounds_to_zero(alpha, beta), (alpha, beta)
+    assert all(zero[float(u), 9.0] for u in range(96, 251))
+    # below the cut in mpf, but within the float test's margin of it
+    assert _bound_rounds_to_zero(15.5, 1e-9) and not zero[15.5, 1e-9]
+    assert not zero[15.4, 1e-9]
+    # the float logarithm lies 4e6 below the cut, the mpf one 10.5 above it
+    alpha, beta = 15.302086271251854, 1.3254395704607234e-12
+    assert not _bound_rounds_to_zero(alpha, beta) and not oi._rounds_to_zero(alpha, beta)
 
 
 def _direct_route(alpha, beta, s=None, dps=None):
@@ -216,7 +256,9 @@ def test_I_eval_bit_identical_to_direct_route():
 
 
 def test_I1_eval_bit_identical_to_direct_route():
+    # u = -20..20 steps through every Ai and Ai' band at beta = 9
     pts = [(float(u), 9.0, 8.0) for u in range(-250, 251, 5)]
+    pts += [(float(u), 9.0, 8.0) for u in range(-20, 21)]
     pts += _context_points()
     pts += [(a, b, 1.0) for b in (1e-2, 0.1) for a in (-30.0, -3.0, 0.0, 1.5, 30.0)]
     for alpha, beta, s in pts:
@@ -234,29 +276,48 @@ def test_I1_small_beta_matches_120_digits(beta, s):
     assert abs(v.real - ref.real) <= 1e-14 * abs(ref.real)
 
 
-def test_airy_routing(monkeypatch):
-    # the u-sum at beta = 9 and I1 over the station band call airyai only on
-    # its cheap branches: a rotated argument only where mpmath's asymptotic
-    # series reaches the working digits (under force_series it raises
-    # NoConvergence otherwise), the real x between that edge and -8, and no
-    # call where I rounds to 0 (u >= 120)
-    calls = []
-    airyai = mp.airyai
+def _edge():
+    """|x| where (4/3) |x|^(3/2) = prec ln 2 + 23 at the current precision."""
+    return (0.75 * (mp.prec * math.log(2) + 23)) ** (2 / 3)
 
-    def recording(z, derivative=0):
-        calls.append((u, z))
+
+def test_airy_routing(monkeypatch):
+    # the u-sum at beta = 9 and I1 over the station band and at beta = 9
+    # call airyai only on its cheap branches: a rotated argument only where
+    # mpmath's asymptotic series reaches the working digits (under
+    # force_series it raises NoConvergence otherwise), plain series from
+    # that edge to -8, the 0F1 pair from 4 to the edge, and no call where
+    # I rounds to 0 (u >= 96)
+    calls, series = [], []
+    airyai, hyp0f1 = mp.airyai, mp.hyp0f1
+
+    def recording(z, derivative=0, **kwargs):
+        calls.append((u, z, _edge(), kwargs))
         if isinstance(z, mp.mpc):
             airyai(z, derivative=derivative, force_series=True)
-        return airyai(z, derivative=derivative)
+        return airyai(z, derivative=derivative, **kwargs)
+
+    def recording_0f1(b, z, **kwargs):
+        series.append((b, kwargs))
+        return hyp0f1(b, z, **kwargs)
 
     monkeypatch.setattr(mp, "airyai", recording)
+    monkeypatch.setattr(mp, "hyp0f1", recording_0f1)
     for u in range(-250, 251):
         oi.I_eval(oi.OscillatoryProblem(float(u), 9.0))
-    assert calls and max(u for u, _ in calls) < 120
+    assert calls and max(u for u, *_ in calls) < 96
+    assert {b for b, _ in series} == {(2, 3), (4, 3)}
     for u, (alpha, beta) in enumerate(oi.default_station_grid()):
         oi.I1_eval(oi.OscillatoryProblem(alpha, beta), 1.0)
-    assert any(isinstance(z, mp.mpc) for _, z in calls)
-    assert any(not isinstance(z, mp.mpc) and z < -8 for _, z in calls)
+    for u in range(-20, 21):
+        oi.I1_eval(oi.OscillatoryProblem(float(u), 9.0), 8.0)
+    real = [(z, edge, kw) for _, z, edge, kw in calls if not isinstance(z, mp.mpc)]
+    assert any(isinstance(z, mp.mpc) for _, z, _, _ in calls)
+    assert not any(4 < z <= edge for z, edge, _ in real)
+    band = [kw for z, edge, kw in real if -edge <= z < -8]
+    assert band and all(kw.get("force_series") for kw in band)
+    assert {b for b, _ in series} == {(1, 3), (2, 3), (4, 3), (5, 3)}
+    assert all(kw.get("force_series") for _, kw in series)
 
 
 def test_no_scipy_import():

@@ -250,8 +250,8 @@ def multiplicativity_check(c: int, d: int, q1: int, q2: int) -> float:
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
     whole = E_sum(c, d, q1 * q2)
-    i2 = pow(q2, -1, q1) if q1 > 1 else 0
-    i1 = pow(q1, -1, q2) if q2 > 1 else 0
+    i2 = pow(q2, -1, q1)
+    i1 = pow(q1, -1, q2)
     left = E_sum(c * i2, d * i2, q1)
     right = E_sum(c * i1, d * i1, q2)
     return abs(whole - left * right)
@@ -270,8 +270,8 @@ def kloosterman_flip_check(n: int, m: int, k: int) -> bool:
     if math.gcd(m, k) != 1:
         raise ValueError(f"(m, k) = {math.gcd(m, k)} != 1")
     m2, k2 = m * m, k * k
-    m2bar = pow(m2, -1, k2) if k2 > 1 else 0
-    k2bar = pow(k2, -1, m2) if m2 > 1 else 0
+    m2bar = pow(m2, -1, k2)
+    k2bar = pow(k2, -1, m2)
     base = Fraction(m2bar, k2) + Fraction(k2bar, m2) - Fraction(1, m2 * k2)
     if base.denominator != 1:
         return False
@@ -412,7 +412,7 @@ def crt_split_check(
     if math.gcd(l1, 6 * h * d * mstar * am) != 1:
         raise ValueError("l1 must be invertible mod q*mtilde^2 and coprime to 6")
 
-    linv2 = pow(l1 * l1, -1, big) if big > 1 else 0
+    linv2 = pow(l1 * l1, -1, big)
     etab = np.array(_residual_table(a, b, h, mstar * mtilde, l1, d))  # at w = v mod d
 
     k22 = k2 * k2
@@ -425,7 +425,7 @@ def crt_split_check(
     x = np.arange(q, dtype=np.int64)
     cq = (linv2 % q) * k22 % q * (mt2 * mt2 % q) % q
     phx = (cq * (x * x % q * x % q) + (u % q) * x) % q
-    sx_terms = etab[(x * (mt2 % d if d > 1 else 0)) % d] * _unit_circle(phx, q)
+    sx_terms = etab[x * mt2 % d] * _unit_circle(phx, q)
     sx = complex(sx_terms.sum())
     cm = (linv2 % mt2) * k22 % mt2 * (q * q % mt2) % mt2
     rhs1 = sx * F_sum(cm, 0, u, mt2)
@@ -438,7 +438,7 @@ def crt_split_check(
     for z in range(d):
         phz = (cq * (z * z % q * z % q) + (u % q) * z) % q
         sy2 = F_sum(cqt * d * d, cqt * 3 * d * z, cqt * 3 * z * z + u, qt)
-        rhs2 += etab[(z * (mt2 % d if d > 1 else 0)) % d] * e_frac(Fraction(int(phz), q)) * sy2
+        rhs2 += etab[z * mt2 % d] * e_frac(Fraction(int(phz), q)) * sy2
 
     return abs(lhs - rhs1), abs(sx - rhs2)
 
@@ -456,12 +456,12 @@ def F_explicit(u: int, mtilde: int, k2: int, q: int, l1: int) -> complex:
         raise ValueError("mtilde^2 exceeds the 10^6 cap")
     if math.gcd(am, 6) != 1 or math.gcd(k2 * q * l1, am) != 1:
         raise ValueError("need (mtilde, 6) = 1 and (k2 q l1, mtilde) = 1")
-    inv3 = pow(3, -1, am) if am > 1 else 0
+    inv3 = pow(3, -1, am)
     target = (-inv3 * u) % am
     roots = sqrt_mod(target, am)
     if not roots:
         return 0j
-    invkq = pow(k2 * q, -1, mt2) if mt2 > 1 else 0
+    invkq = pow(k2 * q, -1, mt2)
     total = 0j
     for x1 in roots:
         total += e_frac(Fraction(((x1**3 + u * x1) * invkq * l1) % mt2, mt2))
@@ -472,7 +472,7 @@ def F_explicit_bruteforce(u: int, mtilde: int, k2: int, q: int, l1: int) -> comp
     """Same sum by direct evaluation (oracle for F_explicit)."""
     am = abs(mtilde)
     mt2 = am * am
-    c3 = pow(l1 * l1, -1, mt2) * k2 * k2 % mt2 * (q * q % mt2) % mt2 if mt2 > 1 else 0
+    c3 = pow(l1 * l1, -1, mt2) * k2 * k2 % mt2 * (q * q % mt2) % mt2
     return F_sum(c3, 0, u, mt2)
 
 
@@ -524,19 +524,19 @@ def poisson_second_check(
     to at most 1e-12 of the running total (deterministic rule), capped at
     POISSON_U_CAP.
     """
-    from .oscint import I_eval, OscillatoryProblem
+    from .oscint import I_eval, OscillatoryProblem, ParamContext, param_map
 
     a, b = 3 // k3, 2 // k2
     A = k3**3 * h * d
     if math.gcd(l1, 6 * h * d) != 1:
         raise ValueError("(l1, 6hd) must be 1")
-    linv2 = pow(l1 * l1, -1, A) if A > 1 else 0
+    linv2 = pow(l1 * l1, -1, A)
     etab = _residual_table(a, b, h, 1, l1, d)
     k22 = k2 * k2
     c1 = k3 * h * d * l1 * l1
 
     def pfun(n1: int) -> complex:
-        theta = Fraction(linv2 * (k22 * n1**3 % A), A) if A > 1 else Fraction(0)
+        theta = Fraction(linv2 * (k22 * n1**3 % A), A)
         return etab[n1 % d] * e_frac(theta)
 
     zmax = decay_radius(1e-16)
@@ -546,7 +546,6 @@ def poisson_second_check(
         tw = Fraction(-(k22) * n1**3, A * l1 * l1)
         lhs += gauss(X**4 * n1 / c1) * e_frac(tw) * pfun(n1)
 
-    beta = (k2 * h * d) ** 2 * l1**4 / X**12
     v = np.arange(A, dtype=np.int64)
     phase_v = ((linv2 * k22 % A) * (v * v % A * v % A)) % A
     evals = np.array([etab[int(x) % d] for x in v])
@@ -561,7 +560,7 @@ def poisson_second_check(
     while u <= POISSON_U_CAP:
         block = 0j
         for uu in {u, -u}:
-            alpha = l1 * l1 * uu / (X**4 * k3 * k3)
+            alpha, beta, _ = param_map(ParamContext(uu, l1, X, k2, k3, h, d))
             ival = I_eval(OscillatoryProblem(alpha, beta))
             block += ival * vsum(uu)
         total += block

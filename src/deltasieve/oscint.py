@@ -20,13 +20,13 @@ series first, which reaches the working digits only past the edge
 - below -edge, the connection formula Ai(x) = 2 Re[w Ai(-x w)],
   w = e^(i pi/3) (DLMF 9.2.11), and its derivative take Ai at real part
   -x/2 > 4, where mpmath's asymptotic series converges;
-- from -edge to -8, mpmath's Maclaurin series at x itself
+- from -edge to 4, mpmath's Maclaurin series at x itself
   (``force_series``);
 - from 4 to edge, the Maclaurin pair of Ai and Ai' in 0F1 form
   (DLMF 9.4.1-9.4.2), whose terms cancel to e^(-2 zeta) of their size,
   zeta = 2 x^(3/2) / 3, so they carry (4/3) x^(3/2) / ln 2 + 16 guard
   bits;
-- elsewhere, mpmath's ``airyai`` at x.
+- above edge, mpmath's ``airyai`` at x, on its asymptotic series.
 
 The working digits, 20 + log10(1 + |E| + |x|^(3/2)), grow because exp(E)
 cancels the decay of Ai(x) (about 37 digits at beta = 1e-9).  They come
@@ -135,7 +135,7 @@ def _ai_at_0():
 
 
 def _ai(x, n: int):
-    """Ai(x) (n = 0) or Ai'(x) (n = 1) at real x, on four routes.
+    """Ai(x) (n = 0) or Ai'(x) (n = 1) on four contiguous intervals of x.
 
     mpmath tries an asymptotic series first wherever it may converge: the
     2F0 of Ai for real part > 4 and hyp0f1's own for |x| > 10.5.  Its terms
@@ -149,7 +149,7 @@ def _ai(x, n: int):
       w = e^(i pi/3) (DLMF 9.2.11), and its derivative
       Ai'(x) = -2 Re[w^2 Ai'(-x w)] take Ai at real part -x/2 > 4, where
       the asymptotic series converges;
-    - from -edge to -8, Ai at x itself is summed as its Maclaurin series
+    - from -edge to 4, Ai at x itself is summed as its Maclaurin series
       (``force_series``);
     - from 4 to edge, Ai and Ai' come from their Maclaurin pair in 0F1 form
       (DLMF 9.4.1-9.4.2),
@@ -158,16 +158,16 @@ def _ai(x, n: int):
       whose two terms cancel to e^(-2 zeta) of their size, zeta =
       (2/3) x^(3/2), so they are summed with (4/3) x^(3/2) / ln 2 + 16
       guard bits;
-    - elsewhere mpmath's ``airyai`` is on a branch that converges at once.
+    - above edge, mpmath's ``airyai`` at x, on its asymptotic series.
     """
     edge = (0.75 * (mp.prec * _LN2 + 23)) ** (2 / 3)
     if x < -edge:
         w = mp.mpc(0.5, mp.sqrt(3) / 2)
         v = mp.airyai(-x * w, derivative=n)
         return 2 * (w * v).real if n == 0 else -2 * (w * w * v).real
-    if x < -8:
+    if x <= 4:
         return mp.airyai(x, derivative=n, force_series=True)
-    if 4 < x <= edge:
+    if x <= edge:
         xf = float(x)
         with mp.workprec(mp.prec + int(4 * xf * math.sqrt(xf) / (3 * _LN2)) + 16):
             t = x**3 / 9
@@ -465,7 +465,7 @@ def default_station_grid() -> list[tuple[float, float]]:
 def station_envelope_scan(grid: list[tuple[float, float]] | None = None) -> list[StationRow]:
     """|I - G| against the envelope log(2 + beta) / |alpha| over the grid."""
     rows = []
-    for alpha, beta in grid or default_station_grid():
+    for alpha, beta in default_station_grid() if grid is None else grid:
         prob = OscillatoryProblem(alpha, beta)
         ival = I_eval(prob)
         gval = G_eval(prob)

@@ -114,9 +114,8 @@ class CountResult:
     mode: str
     count: int | None
     weighted: float | None
-    nstripes: int
     stripe_digest: str
-    stripe_summaries: tuple = field(repr=False, default=())
+    stripe_summaries: tuple = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +702,6 @@ def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResul
         cfg.mode,
         None if smoothed else sum(row[1] for row in stripes),
         float(np.sum(np.array([row[4] for row in stripes]))) if smoothed else None,
-        len(stripes),
         digest,
         tuple(stripes),
     )
@@ -727,7 +725,10 @@ def smoothed_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountR
 # oracles (independent of the stripe sieve)
 
 
-def naive_squarefree_count(X: float, chunk: int = 1 << 24) -> int:
+_CHUNK = 1 << 24  # value range of each bitmap of `naive_squarefree_count`
+
+
+def naive_squarefree_count(X: float) -> int:
     """Per-pair oracle: the nonzero |Delta| of the box, tested in value space.
 
     The values go into one array of the smallest unsigned type that holds
@@ -769,8 +770,8 @@ def naive_squarefree_count(X: float, chunk: int = 1 << 24) -> int:
             big.append(p2)
     vals.sort()
     total = 0
-    for lo in range(0, dmax + 1, chunk):
-        hi = min(lo + chunk, dmax + 1)
+    for lo in range(0, dmax + 1, _CHUNK):
+        hi = min(lo + _CHUNK, dmax + 1)
         i = int(vals.searchsorted(lo))
         j = int(vals.searchsorted(hi - 1, side="right"))
         if i == j:
@@ -868,17 +869,15 @@ def _mobius_S_sum(X: float, k_lo: int) -> int:
 
 def mobius_sieve_identity(X: float) -> tuple[int, int, bool]:
     """exact_count(X) versus sum_k mu(k) S(X; k^2), exact integers."""
-    if X > 3:
-        raise ValueError("identity check capped at X <= 3")
-    rhs = _mobius_S_sum(X, 1)
+    rhs = _mobius_S_sum(X, 1)  # first: the histogram refuses X > 3 before the count
     lhs = exact_count(CountConfig(X=X)).count
     return lhs, rhs, lhs == rhs
 
 
 def tail_S2(X: float, xi: float) -> tuple[int, float]:
     """(sum_{k > xi} mu(k) S(X; k^2), the reference shape X^16 / xi^2)."""
-    if X > 3:
-        raise ValueError("tail computation capped at X <= 3")
+    if not (math.isfinite(xi) and xi > 0):
+        raise ValueError(f"xi must be finite and positive, got {xi}")
     tail = _mobius_S_sum(X, int(math.floor(xi)) + 1)
     return tail, X**16 / xi**2
 

@@ -475,7 +475,6 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
         ratio = expsum.lemma1_ratio(c, d, q)
         if ratio > worst_ratio:
             worst_ratio, arg = ratio, f"(c,d,q)=({c},{d},{q})"
-    rep.artifacts["lemma1_max_ratio"] = {"ratio": worst_ratio, "at": arg}
     add(CheckResult("lemma1_ratio_reported", True, worst_ratio, arg))
     return rep
 
@@ -619,7 +618,6 @@ def suite_oscint(seed: int = 0) -> SuiteReport:
     med = float(np.median(ratios))
     mx = float(ratios.max())
     rep.artifacts["station_rows"] = rows
-    rep.artifacts["station_fit_C"] = mx
     add(
         CheckResult(
             "station_envelope_10x_median",

@@ -91,6 +91,7 @@ def test_station_scan_rows():
     for r in rows:
         assert r.err >= 0 and r.envelope > 0
         assert abs(r.ratio - r.err / r.envelope) < 1e-15
+    assert oi.station_envelope_scan([]) == []
 
 
 def test_omega_scan_regimes():
@@ -286,7 +287,7 @@ def test_airy_routing(monkeypatch):
     # call airyai only on its cheap branches: a rotated argument only where
     # mpmath's asymptotic series reaches the working digits (under
     # force_series it raises NoConvergence otherwise), plain series from
-    # that edge to -8, the 0F1 pair from 4 to the edge, and no call where
+    # that edge to 4, the 0F1 pair from 4 to the edge, and no call where
     # I rounds to 0 (u >= 96)
     calls, series = [], []
     airyai, hyp0f1 = mp.airyai, mp.hyp0f1
@@ -314,8 +315,9 @@ def test_airy_routing(monkeypatch):
     real = [(z, edge, kw) for _, z, edge, kw in calls if not isinstance(z, mp.mpc)]
     assert any(isinstance(z, mp.mpc) for _, z, _, _ in calls)
     assert not any(4 < z <= edge for z, edge, _ in real)
-    band = [kw for z, edge, kw in real if -edge <= z < -8]
-    assert band and all(kw.get("force_series") for kw in band)
+    band = [(z, kw) for z, edge, kw in real if -edge <= z <= 4]
+    assert any(z < -8 for z, _ in band) and any(-8 <= z <= 4 for z, _ in band)
+    assert all(kw.get("force_series") for _, kw in band)
     assert {b for b, _ in series} == {(1, 3), (2, 3), (4, 3), (5, 3)}
     assert all(kw.get("force_series") for _, kw in series)
 

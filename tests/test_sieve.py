@@ -138,7 +138,7 @@ def test_deadline_stops_count(monkeypatch, capsys):
 def test_exact_count_x1():
     res = sv.exact_count(sv.CountConfig(X=1))
     assert res.count == 4
-    assert res.nstripes == 3
+    assert len(res.stripe_summaries) == 3
     # the survivors are (+-1, +-1)
     by_A = {row[0]: row for row in res.stripe_summaries}
     assert by_A[0][1] == 0
@@ -234,11 +234,12 @@ def _naive_count_concat(X: float, chunk: int = 1 << 24) -> int:
 
 
 @pytest.mark.parametrize("X", [1, 1.5, 2, 2.5, 3])
-def test_naive_squarefree_count_matches_concat_route(X):
+def test_naive_squarefree_count_matches_concat_route(X, monkeypatch):
     want = _naive_count_concat(X)
     assert sv.naive_squarefree_count(X) == want
     # many small bitmaps; at X = 2 and 2.5 some chunks hold no value
-    assert sv.naive_squarefree_count(X, chunk=1000 if X < 3 else 1 << 16) == want
+    monkeypatch.setattr(sv, "_CHUNK", 1000 if X < 3 else 1 << 16)
+    assert sv.naive_squarefree_count(X) == want
 
 
 def test_naive_squarefree_count_cap(monkeypatch):
@@ -263,6 +264,10 @@ def test_naive_weighted_sum_and_S_term_caps(monkeypatch):
             sv.naive_weighted_sum(X)
         with pytest.raises(ValueError):
             sv.S_term(X, 2)
+        with pytest.raises(ValueError):
+            sv.mobius_sieve_identity(X)
+        with pytest.raises(ValueError):
+            sv.tail_S2(X, 2)
 
 
 def test_stripe_B_sum_invariant(monkeypatch):
@@ -352,6 +357,16 @@ def test_tail_S2():
     assert sv.tail_S2(2, 10**4)[0] == 0
     val, shape = sv.tail_S2(2, 2)
     assert abs(val) <= shape
+    # every xi < 1 keeps all of k >= 1: the exact count at X = 2
+    assert sv.tail_S2(2, 0.5)[0] == 1188
+
+
+@pytest.mark.parametrize("xi", [0, -1, -5, math.nan])
+def test_tail_S2_rejects_xi(xi, monkeypatch):
+    # refused before the histogram, not read off mu at negative indices
+    monkeypatch.setattr(sv, "_delta_histogram", None)
+    with pytest.raises(ValueError, match="xi must be finite and positive"):
+        sv.tail_S2(2, xi)
 
 
 def test_smoothed_vs_direct():

@@ -5,14 +5,14 @@ throughout, so products never overflow no matter the modulus (moduli are
 still capped at 2**62 by the callers that promise that bound).
 
 Conventions:
-    mu(0) = 0 and mu(-n) = mu(n); rad(n) is the largest square-free
-    divisor of |n|; eps_p = 1 for p = 1 (mod 4) and i for p = 3 (mod 4).
+    factorize(n) is the sorted tuple of (p, e) pairs of |n|, () for |n| = 1;
+    mu(0) = 0 and mu(-n) = mu(n); eps_p = 1 for p = 1 (mod 4) and i for
+    p = 3 (mod 4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,53 +21,10 @@ _TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (psi_t, t): psi_t is the smallest odd composite that is a strong
-# pseudoprime to each of the first t bases, so those t bases decide every
-# n < psi_t (psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
-_MR_PSI = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-)
 
 
 class NotInvertibleError(ValueError):
     """gcd(a, m) > 1 where an inverse was required."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization of a nonzero integer.
-
-    ``factors`` lists (prime, exponent) with strictly increasing primes;
-    the product of prime powers equals abs(n).
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n == 0:
-            raise ValueError("0 has no factorization")
-
-    @property
-    def mobius(self) -> int:
-        for _, e in self.factors:
-            if e > 1:
-                return 0
-        return -1 if len(self.factors) % 2 else 1
-
-    @property
-    def phi(self) -> int:
-        v = 1
-        for p, e in self.factors:
-            v *= (p - 1) * p ** (e - 1)
-        return v
 
 
 def prime_sieve(n: int) -> np.ndarray:
@@ -87,12 +44,8 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below 2**64 (inputs are capped there).
-
-    Uses only the first t bases of _MR_BASES, where psi_t is the first of
-    the psi_t thresholds above n (Pomerance, Selfridge & Wagstaff, Math.
-    Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993): one base below 2047,
-    all twelve from psi_9 = 3825123056546413051 on (psi_12 > 2**64)."""
+    """Deterministic Miller-Rabin over the twelve prime bases up to 37,
+    exact below 2**64 (inputs are capped there)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -104,8 +57,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    t = next((t for lim, t in _MR_PSI if n < lim), len(_MR_BASES))
-    for a in _MR_BASES[:t]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -135,8 +87,9 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"pollard rho failed on {n}")  # unreachable in practice
 
 
-def factorize(n: int) -> Factorization:
-    """Canonical factorization of n != 0 (trial division, then Pollard rho)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of |n| for n != 0, by increasing prime
+    (trial division, then Pollard rho); () for n = +-1."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     m = abs(n)
@@ -168,24 +121,26 @@ def factorize(n: int) -> Factorization:
                     f = _pollard_rho(v)
                     stack.append(f)
                     stack.append(v // f)
-    return Factorization(n, tuple(sorted(factors.items())))
+    return tuple(sorted(factors.items()))
 
 
 def mobius(n: int) -> int:
     """Mobius function with mu(0) = 0 and mu(-n) = mu(n)."""
     if n == 0:
         return 0
-    if abs(n) == 1:
-        return 1
-    return factorize(n).mobius
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi needs n >= 1")
-    if n == 1:
-        return 1
-    return factorize(n).phi
+    v = 1
+    for p, e in factorize(n):
+        v *= (p - 1) * p ** (e - 1)
+    return v
 
 
 def is_squarefree(n: int) -> bool:
@@ -197,8 +152,6 @@ def mod_inverse(a: int, m: int) -> int:
     gcd(a, m) > 1."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if m == 1:
-        return 0
     try:
         return pow(a, -1, m)
     except ValueError as exc:
@@ -259,13 +212,10 @@ def _sqrt_unit(a: int, p: int) -> int | None:
     Tonelli-Shanks as in Cohen, Alg. 1.5.1, from r = a^((q+1)/2) and
     t = a^q.  The same t decides the Legendre symbol: t has order 2^m
     with m < s exactly when a is a square, so a first squaring chain that
-    needs all s steps means a non-residue.  For p = 3 (mod 4) (s = 1) it
-    is one pow and the check r^2 = a.
+    needs all s steps means a non-residue.  For p = 3 (mod 4) (s = 1) the
+    root is a^((p+1)/4), returned when t = 1.
     """
     q, s, c = _tonelli_constants(p)
-    if s == 1:
-        r = pow(a, (p + 1) // 4, p)
-        return r if r * r % p == a else None
     w = pow(a, (q - 1) // 2, p)
     r = w * a % p
     t = r * w % p
@@ -286,7 +236,7 @@ def _sqrt_unit(a: int, p: int) -> int | None:
     return r
 
 
-def sqrt_mod_prime_power(a: int, p: int, k: int = 1) -> list[int]:
+def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     """All x in [0, p**k) with x*x = a (mod p**k), sorted; empty if none.
 
     p must be an odd prime.  Non-unit a is handled by splitting off the
@@ -328,10 +278,8 @@ def sqrt_mod(a: int, m: int) -> list[int]:
     factorization + CRT."""
     if m < 1 or m % 2 == 0:
         raise ValueError("sqrt_mod needs odd m >= 1")
-    if m == 1:
-        return [0]
     roots, mm = [0], 1
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         pe = p**e
         rs = sqrt_mod_prime_power(a, p, e)
         if not rs:

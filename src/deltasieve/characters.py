@@ -23,16 +23,15 @@ from itertools import product
 
 import numpy as np
 
-from .arith import euler_phi, factorize, mobius_range, mobius_table
+from .arith import euler_phi, factorize, mobius, mobius_range, mobius_table
 
 MAX_CHARACTER_MODULUS = 10**4
 MAX_MU_RANGE = 10**8
 
 
-@lru_cache(maxsize=64)
 def _primitive_root(p: int, e: int) -> int:
     """Smallest primitive root mod p^e for odd p (valid for all e >= 1)."""
-    qs = [q for q, _ in factorize(p - 1).factors]
+    qs = [q for q, _ in factorize(p - 1)]
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
@@ -50,9 +49,6 @@ class _Component:
     # dlog maps a unit mod prime_power to its exponent tuple
     dlog: dict[int, tuple[int, ...]]
 
-    def __hash__(self):
-        return hash((self.prime_power, self.orders))
-
 
 @lru_cache(maxsize=256)
 def unit_group(q: int) -> tuple[_Component, ...]:
@@ -60,7 +56,7 @@ def unit_group(q: int) -> tuple[_Component, ...]:
     if q < 1 or q > MAX_CHARACTER_MODULUS:
         raise ValueError(f"modulus {q} out of range [1, {MAX_CHARACTER_MODULUS}]")
     comps = []
-    for p, e in (factorize(q).factors if q > 1 else ()):
+    for p, e in factorize(q):
         pe = p**e
         if p == 2:
             if e == 1:
@@ -85,6 +81,11 @@ def unit_group(q: int) -> tuple[_Component, ...]:
     return tuple(comps)
 
 
+def _orders(q: int) -> list[int]:
+    """The orders of the cyclic components of (Z/q)*, in `unit_group` order."""
+    return [n for comp in unit_group(q) for n in comp.orders]
+
+
 @lru_cache(maxsize=256)
 def _angle_numerators(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(units, M, L): the units mod q, L = lcm of the component orders and
@@ -92,7 +93,7 @@ def _angle_numerators(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     character with exponents e takes the value e(((M @ e) mod L) / L) at
     the units and 0 elsewhere."""
     comps = unit_group(q)
-    orders = [n for comp in comps for n in comp.orders]
+    orders = _orders(q)
     L = math.lcm(*orders)
     units = [n for n in range(q) if math.gcd(n, q) == 1]
     logs = [[t for comp in comps for t in comp.dlog[n % comp.prime_power]] for n in units]
@@ -121,7 +122,7 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        orders = [n for comp in unit_group(self.modulus) for n in comp.orders]
+        orders = _orders(self.modulus)
         if len(self.exponents) != len(orders):
             raise ValueError("exponent vector has wrong length")
         object.__setattr__(
@@ -149,13 +150,11 @@ def _char_table(q: int, exponents: tuple[int, ...]) -> np.ndarray:
 
 def character_table(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q (the principal one first)."""
-    orders = [n for comp in unit_group(q) for n in comp.orders]
-    return [DirichletCharacter(q, exps) for exps in product(*(range(n) for n in orders))]
+    return [DirichletCharacter(q, exps) for exps in product(*(range(n) for n in _orders(q)))]
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    orders = [n for comp in unit_group(q) for n in comp.orders]
-    return DirichletCharacter(q, (0,) * len(orders))
+    return DirichletCharacter(q, (0,) * len(_orders(q)))
 
 
 def tau(chi: DirichletCharacter) -> complex:
@@ -168,14 +167,12 @@ def tau(chi: DirichletCharacter) -> complex:
 def is_primitive(chi: DirichletCharacter) -> bool:
     """True when chi is not induced by a character of smaller modulus."""
     q = chi.modulus
-    if q == 1:
-        return True
     if q % 4 == 2:
         return False
     # chi(x) = 1 exactly when its angle numerator is 0 mod L, so the units
     # x = 1 (mod q/p) are tested on integers, without building the table
     units, k, _ = _numerators(q, chi.exponents)
-    for p, _ in factorize(q).factors:
+    for p, _ in factorize(q):
         if not k[(units - 1) % (q // p) == 0].any():
             return False
     return True
@@ -183,28 +180,6 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 
 # ---------------------------------------------------------------------------
 # Mobius sums over progressions
-
-
-@dataclass(frozen=True)
-class APMobiusSumSpec:
-    """S_j(s, w): sum of mu(n) e(w n) over L < n <= s with n = j (mod q1)
-    and (n, coprime_to) = 1."""
-
-    L: float
-    s: float
-    w: float
-    q1: int
-    j: int
-    coprime_to: int = 6
-
-    def __post_init__(self):
-        if not self.L < self.s:
-            raise ValueError("need L < s")
-        if self.q1 < 1 or math.gcd(self.j, self.q1) != 1:
-            raise ValueError("(j, q1) must be 1")
-        if self.s > MAX_MU_RANGE:
-            raise ValueError(f"range cap is {MAX_MU_RANGE}")
-
 
 _MU_TABLE_CAP = 1 << 22  # full cached table below this; segmented beyond
 
@@ -244,13 +219,21 @@ def _class_sums(lo: int, hi: int, q1: int, w: float, coprime_to: int) -> np.ndar
     return sums
 
 
-def ap_mobius_sum(spec: APMobiusSumSpec) -> complex:
-    """Direct evaluation of S_j(s, w): one class of `_class_sums`."""
-    lo = int(math.floor(spec.L)) + 1
-    hi = int(math.floor(spec.s))
+def ap_mobius_sum(L: float, s: float, w: float, q1: int, j: int, coprime_to: int) -> complex:
+    """S_j(s, w): sum of mu(n) e(w n) over L < n <= s with n = j (mod q1)
+    and (n, coprime_to) = 1, evaluated directly as one class of
+    `_class_sums`."""
+    if not L < s:
+        raise ValueError("need L < s")
+    if q1 < 1 or math.gcd(j, q1) != 1:
+        raise ValueError("(j, q1) must be 1")
+    if s > MAX_MU_RANGE:
+        raise ValueError(f"range cap is {MAX_MU_RANGE}")
+    lo = int(math.floor(L)) + 1
+    hi = int(math.floor(s))
     if hi < lo:
         return 0j
-    return complex(_class_sums(lo, hi, spec.q1, spec.w, spec.coprime_to)[spec.j % spec.q1])
+    return complex(_class_sums(lo, hi, q1, w, coprime_to)[j % q1])
 
 
 def dirichlet_approximation(w: float, R: int) -> tuple[int, int, float]:
@@ -294,9 +277,7 @@ def _bucket_matrix(hi, q1, r_mod, coprime_to):
     return W
 
 
-def decomposition_sweep(
-    q1: int, r: int, s: int, coprime_to: int = 6
-) -> dict[tuple[int, int], float]:
+def decomposition_sweep(q1: int, r: int, s: int, coprime_to: int) -> dict[tuple[int, int], float]:
     """Check the character decomposition of S_j(s, a/r) at every unit class
     j mod q1 and a mod r (1 <= j <= q1, 1 <= a <= r): the deviation
     |direct - reconstructed|, keyed by (j, a).
@@ -347,7 +328,7 @@ def decomposition_sweep(
         # inner combination independent of j
         inner = np.zeros(len(chis), dtype=complex)
         for f, r1, chi1_tabs, taus, S in per_f:
-            muf = float(_mu_upto(max(r, 2))[f])
+            muf = mobius(f)
             # n = f n1 cannot be coprime to C unless (f, C) = 1
             if muf == 0 or math.gcd(f, coprime_to) != 1:
                 continue

@@ -174,8 +174,8 @@ def _cmd_constant(args) -> int:
         return EXIT_USAGE
     res = euler_product(args.theorem, args.prime_bound)
     payload = {
-        "theorem": res.theorem,
-        "P": res.prime_bound,
+        "theorem": args.theorem,
+        "P": args.prime_bound,
         "value_lo": res.lo,
         "value_hi": res.hi,
         "tail_bound": res.tail_bound,

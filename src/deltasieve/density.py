@@ -99,8 +99,6 @@ def per_prime_identity(p: int) -> bool:
 
 @dataclass(frozen=True)
 class EulerProductResult:
-    theorem: int
-    prime_bound: int
     partial: float  # product over p <= prime_bound only
     value: float  # partial times the tail factor
     tail_bound: float  # half-width of the certified interval around value
@@ -184,8 +182,6 @@ def euler_product(theorem: int, prime_bound: int) -> EulerProductResult:
         lo = partial * mp.e ** (-log_hi)
         value = (lo + hi) / 2
         return EulerProductResult(
-            theorem,
-            prime_bound,
             float(partial),
             float(value),
             float((hi - lo) / 2),
@@ -273,8 +269,7 @@ class BalanceResult:
 
 
 def balance_exponents(
-    terms: list[ExponentTerm] | None = None,
-    start: tuple[Fraction, Fraction] | None = None,
+    terms: list[ExponentTerm], start: tuple[Fraction, Fraction] | None = None
 ) -> BalanceResult:
     """Minimax of max_i e_i(t, kappa) over 0 < t <= BALANCE_T_MAX, 0 < kappa < 1.
 
@@ -282,7 +277,6 @@ def balance_exponents(
     analytic point, when given as ``start``) is re-evaluated exactly in
     rational arithmetic.
     """
-    terms = terms if terms is not None else paper_terms()
     if not terms:
         raise ValueError("need at least one term")
     step = float(BALANCE_STEP)
@@ -312,4 +306,4 @@ def balance_exponents(
 
 def paper_balance() -> BalanceResult:
     """The paper preset: exact minimax at (t, kappa) = (124/27, 16/31)."""
-    return balance_exponents(start=(PAPER_T, PAPER_KAPPA))
+    return balance_exponents(paper_terms(), start=(PAPER_T, PAPER_KAPPA))

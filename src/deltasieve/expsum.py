@@ -229,13 +229,11 @@ def gauss_f(c: int, q: int) -> complex:
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q = {q} must be odd and positive")
-    if q == 1:
-        return 1 + 0j
     fac = factorize(q)
-    if any(e > 1 for _, e in fac.factors):
+    if any(e > 1 for _, e in fac):
         raise ValueError(f"q = {q} must be square-free")
     out = 1 + 0j
-    for p, _ in fac.factors:
+    for p, _ in fac:
         sym, eps = legendre_eps(-c * (q // p), p)
         out *= eps * sym * math.sqrt(p) - 1
     return out
@@ -344,7 +342,7 @@ def loxton_schmidt(p: PhasePolynomial) -> LoxtonSchmidtBound:
         n, eta, semi = 1, 1, 1
     else:
         raise ValueError("f' is constant or zero; no bound")
-    nomega = n ** len(factorize(q).factors) if q > 1 else 1
+    nomega = n ** len(factorize(q))
     bound = (
         q ** (1.0 - 1.0 / (2 * eta))
         * math.gcd(abs(semi), q) ** (1.0 / (2 * eta))
@@ -359,7 +357,7 @@ def lemma1_ratio(c: int, d: int, q: int) -> float:
     """|E(c,d;q)| / ((c,d,q)^(1/2) q^(1/2) d(q)^2), the explored Lemma-1 shape."""
     g = math.gcd(math.gcd(abs(c), abs(d)), q)
     ndiv = 1
-    for _, e in (factorize(q).factors if q > 1 else ()):
+    for _, e in factorize(q):
         ndiv *= e + 1
     return abs(E_sum(c, d, q)) / (math.sqrt(g) * math.sqrt(q) * ndiv**2)
 

@@ -283,11 +283,11 @@ def G1_eval(problem: OscillatoryProblem, s: float) -> complex:
     amplitude is 2^(1/2) |alpha|^(5/4) / (3^(7/4) beta^(3/4) s) per
     stationary point, the first term with a minus sign).
     """
+    if s <= 0:
+        raise ValueError("s must be positive")
     alpha, beta = problem.alpha, problem.beta
     if alpha >= 0:
         return 0j
-    if s <= 0:
-        raise ValueError("s must be positive")
     z0, ph = _stationary_phase(alpha, beta)
     amp = math.sqrt(2.0) * abs(alpha) ** 1.25 / (3.0**1.75 * beta**0.75 * s)
     return complex(

@@ -64,7 +64,7 @@ def _tol(modulus: float) -> float:
 # arith
 
 
-def suite_arith(seed: int = 0) -> SuiteReport:
+def suite_arith(seed: int) -> SuiteReport:
     rep = SuiteReport("arith", seed)
     rng = np.random.default_rng(seed)
     add = rep.checks.append
@@ -107,9 +107,8 @@ def suite_arith(seed: int = 0) -> SuiteReport:
 
     bad = 0
     for m in range(1, 10**5 + 1):
-        f = arith.factorize(m)
         prod = 1
-        for p, e in f.factors:
+        for p, e in arith.factorize(m):
             prod *= p**e
         if prod != m:
             bad += 1
@@ -125,11 +124,10 @@ def suite_arith(seed: int = 0) -> SuiteReport:
     add(CheckResult("phi_multiplicative_500", bad == 0, bad))
 
     mersenne = 2**61 - 1
-    f = arith.factorize(mersenne)
     add(
         CheckResult(
             "mersenne61_prime",
-            f.factors == ((mersenne, 1),) and arith.is_prime(mersenne),
+            arith.factorize(mersenne) == ((mersenne, 1),) and arith.is_prime(mersenne),
             0.0,
         )
     )
@@ -140,7 +138,7 @@ def suite_arith(seed: int = 0) -> SuiteReport:
 # density (acceptance 1, 2, 10)
 
 
-def suite_density(seed: int = 0) -> SuiteReport:
+def suite_density(seed: int) -> SuiteReport:
     rep = SuiteReport("density", seed)
     add = rep.checks.append
 
@@ -247,7 +245,7 @@ def _frames_for(ls, hs):
                     yield expsum.CongruenceFrame(k2, k3, h, l)
 
 
-def suite_expsum(seed: int = 0) -> SuiteReport:
+def suite_expsum(seed: int) -> SuiteReport:
     rep = SuiteReport("expsum", seed)
     rng = np.random.default_rng(seed)
     add = rep.checks.append
@@ -483,7 +481,7 @@ def suite_expsum(seed: int = 0) -> SuiteReport:
 # poisson (acceptance 5)
 
 
-def suite_poisson(seed: int = 0) -> SuiteReport:
+def suite_poisson(seed: int) -> SuiteReport:
     rep = SuiteReport("poisson", seed)
     add = rep.checks.append
 
@@ -512,7 +510,7 @@ def _trapezoid_I(alpha: float, beta: float, h: float, shift: float = 0.0) -> com
     return complex(h * np.exp(-np.pi * z * z - 2j * np.pi * (beta * z * z * z + alpha * z)).sum())
 
 
-def suite_oscint(seed: int = 0) -> SuiteReport:
+def suite_oscint(seed: int) -> SuiteReport:
     rep = SuiteReport("oscint", seed)
     add = rep.checks.append
     deadline = Deadline()
@@ -651,7 +649,7 @@ def suite_oscint(seed: int = 0) -> SuiteReport:
 # characters (acceptance 7)
 
 
-def suite_characters(seed: int = 0) -> SuiteReport:
+def suite_characters(seed: int) -> SuiteReport:
     rep = SuiteReport("characters", seed)
     rng = np.random.default_rng(seed)
     add = rep.checks.append
@@ -702,12 +700,11 @@ def suite_characters(seed: int = 0) -> SuiteReport:
         )
     )
 
-    spec = characters.APMobiusSumSpec(0, 10, 0.0, 1, 1, 1)
-    m10 = characters.ap_mobius_sum(spec)
+    m10 = characters.ap_mobius_sum(0, 10, 0.0, 1, 1, 1)
     ok = abs(m10 - (-1)) < 1e-12
-    s4 = characters.ap_mobius_sum(characters.APMobiusSumSpec(0, 4, 0.5, 1, 1, 1))
+    s4 = characters.ap_mobius_sum(0, 4, 0.5, 1, 1, 1)
     ok = ok and abs(s4 - (-1)) < 1e-12
-    empty = characters.ap_mobius_sum(characters.APMobiusSumSpec(5, 5.5, 0.3, 1, 1, 1))
+    empty = characters.ap_mobius_sum(5, 5.5, 0.3, 1, 1, 1)
     ok = ok and empty == 0
     add(CheckResult("ap_mobius_examples", ok, 0.0))
 
@@ -758,7 +755,7 @@ def suite_characters(seed: int = 0) -> SuiteReport:
 # sieve (acceptance 8, 9)
 
 
-def suite_sieve(seed: int = 0) -> SuiteReport:
+def suite_sieve(seed: int) -> SuiteReport:
     rep = SuiteReport("sieve", seed)
     add = rep.checks.append
     deadline = Deadline()
@@ -923,7 +920,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> list[SuiteReport]:
+def run_suite(name: str, seed: int) -> list[SuiteReport]:
     """The reports of suite `name`, or of every suite for "all".  A suite
     that raises (other than on the deadline) reports one failing check that
     carries the exception, and the suites after it still run."""

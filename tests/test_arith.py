@@ -9,10 +9,11 @@ from deltasieve import arith
 
 
 def test_factorize_examples():
-    assert arith.factorize(12).factors == ((2, 2), (3, 1))
-    assert arith.factorize(-1).factors == ()
+    assert arith.factorize(12) == ((2, 2), (3, 1))
+    assert type(arith.factorize(12)) is tuple
+    assert arith.factorize(1) == arith.factorize(-1) == ()
     m61 = 2**61 - 1
-    assert arith.factorize(m61).factors == ((m61, 1),)
+    assert arith.factorize(m61) == ((m61, 1),)
     with pytest.raises(ValueError):
         arith.factorize(0)
 
@@ -23,16 +24,15 @@ def test_factorize_roundtrip_random():
         n = int(rng.integers(1, 10**12))
         f = arith.factorize(n)
         prod = 1
-        for p, e in f.factors:
+        for p, e in f:
             assert arith.is_prime(p)
             prod *= p**e
         assert prod == n
-        assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
 
 
 def test_is_prime_matches_sieve():
-    # covers the trial-division cutoff at 41^2 = 1681 and the one-base
-    # range below 2047 on both sides
+    # covers the trial-division cutoff at 41^2 = 1681 and psi_1 = 2047
     primes = arith.primes_up_to(10**5)
     assert [n for n in range(-5, 10**5) if arith.is_prime(n)] == primes
 
@@ -69,10 +69,8 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 @pytest.mark.parametrize("n, t", PSI)
 def test_is_prime_rejects_psi_t(n, t):
-    # psi_t fools exactly the bases is_prime would use below psi_t, so a
-    # threshold tested with <= instead of < lets it through
-    f = arith.factorize(n)
-    assert sum(e for _, e in f.factors) > 1
+    # psi_t fools the first t bases, so is_prime must test more of them
+    assert sum(e for _, e in arith.factorize(n)) > 1
     assert all(_strong_probable_prime(n, a) for a in arith.primes_up_to(37)[:t])
     assert not arith.is_prime(n)
 
@@ -110,6 +108,7 @@ def test_mod_inverse():
     assert arith.mod_inverse(9, 25) == 14
     assert arith.mod_inverse(25, 9) == 4
     assert arith.mod_inverse(1, 17) == 1
+    assert arith.mod_inverse(0, 1) == arith.mod_inverse(6, 1) == 0
     with pytest.raises(arith.NotInvertibleError):
         arith.mod_inverse(6, 9)
 
@@ -200,6 +199,8 @@ def test_sqrt_mod_prime_power_rejects_non_primes():
 def test_sqrt_mod_composite():
     assert arith.sqrt_mod(4, 45) == [x for x in range(45) if x * x % 45 == 4]
     assert arith.sqrt_mod(2, 15) == []
+    assert arith.sqrt_mod(0, 1) == arith.sqrt_mod(5, 1) == [0]
+    assert arith.euler_phi(1) == 1
 
 
 def test_crt():

@@ -11,7 +11,9 @@ from deltasieve import characters as ch
 
 
 def test_character_table_sizes():
+    assert ch.unit_group(1) == ()
     assert len(ch.character_table(1)) == 1
+    assert ch.is_primitive(ch.principal_character(1))
     for q in (2, 3, 4, 5, 8, 12, 30, 49):
         assert len(ch.character_table(q)) == arith.euler_phi(q)
 
@@ -144,28 +146,36 @@ def test_tau_largest_prime_modulus():
 
 
 def test_ap_mobius_sum():
-    assert ch.ap_mobius_sum(ch.APMobiusSumSpec(0, 10, 0.0, 1, 1, 1)) == pytest.approx(-1)
-    assert ch.ap_mobius_sum(ch.APMobiusSumSpec(0, 4, 0.5, 1, 1, 1)) == pytest.approx(-1)
-    assert ch.ap_mobius_sum(ch.APMobiusSumSpec(6, 6.9, 0.1, 1, 1, 1)) == 0
+    assert ch.ap_mobius_sum(0, 10, 0.0, 1, 1, 1) == pytest.approx(-1)
+    assert ch.ap_mobius_sum(0, 4, 0.5, 1, 1, 1) == pytest.approx(-1)
+    assert ch.ap_mobius_sum(6, 6.9, 0.1, 1, 1, 1) == 0
     # coprimality and progression filters
-    v = ch.ap_mobius_sum(ch.APMobiusSumSpec(0, 30, 0.0, 3, 1, 10))
+    v = ch.ap_mobius_sum(0, 30, 0.0, 3, 1, 10)
     direct = sum(
         arith.mobius(n)
         for n in range(1, 31)
         if n % 3 == 1 and math.gcd(n, 10) == 1
     )
     assert v == pytest.approx(direct)
-    with pytest.raises(ValueError):
-        ch.APMobiusSumSpec(0, 10, 0.0, 4, 2, 1)  # (j, q1) != 1
+    bad = [
+        (0, 10, 0.0, 4, 2, 1),  # (j, q1) != 1
+        (0, 10, 0.0, 0, 1, 1),  # q1 < 1
+        (10, 10, 0.0, 1, 1, 1),  # L = s
+        (5, 4, 0.0, 1, 1, 1),  # L > s
+        (0, ch.MAX_MU_RANGE + 1, 0.0, 1, 1, 1),  # past the range cap
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            ch.ap_mobius_sum(*args)
 
 
 def test_decomposition_examples():
-    assert ch.decomposition_sweep(7, 1, 1500)[(2, 1)] < 1e-10
-    assert ch.decomposition_sweep(5, 3, 2000)[(2, 1)] < 1e-8
-    assert ch.decomposition_sweep(7, 5, 5000)[(3, 2)] < 1e-8
+    assert ch.decomposition_sweep(7, 1, 1500, 6)[(2, 1)] < 1e-10
+    assert ch.decomposition_sweep(5, 3, 2000, 6)[(2, 1)] < 1e-8
+    assert ch.decomposition_sweep(7, 5, 5000, 6)[(3, 2)] < 1e-8
     assert ch.decomposition_sweep(12, 8, 4000, 30)[(5, 3)] < 1e-8
     with pytest.raises(ValueError):
-        ch.decomposition_sweep(21, 3, 100)
+        ch.decomposition_sweep(21, 3, 100, 6)
 
 
 def test_dirichlet_approximation():
@@ -192,7 +202,7 @@ def test_dirichlet_check_fails_on_broken_draws(monkeypatch):
 
 def test_mertens_1e7_segmented():
     # forces the segmented mu path; M(10^7) = 1037 is a known value
-    v = ch.ap_mobius_sum(ch.APMobiusSumSpec(0, 10**7, 0.0, 1, 1, 1))
+    v = ch.ap_mobius_sum(0, 10**7, 0.0, 1, 1, 1)
     assert v.real == pytest.approx(1037, abs=1e-6)
     assert abs(v.imag) < 1e-9
 
@@ -201,5 +211,5 @@ def test_sj_scan():
     rows = ch.sj_cancellation_scan((1, 5), (10, 100), (0.0, 0.37))
     assert rows[0].ratio == pytest.approx(1 / 10 ** (5 / 6))
     assert all(r.sum_abs >= 0 for r in rows)
-    empty = ch.ap_mobius_sum(ch.APMobiusSumSpec(50, 50.2, 0.1, 1, 1, 1))
+    empty = ch.ap_mobius_sum(50, 50.2, 0.1, 1, 1, 1)
     assert empty == 0

@@ -98,7 +98,7 @@ def _euler_product_mpf(theorem: int, P: int, dps: int = 30) -> dn.EulerProductRe
         lo = partial * mp.e ** (-log_hi)
         value = (lo + hi) / 2
         return dn.EulerProductResult(
-            theorem, P, float(partial), float(value), float((hi - lo) / 2), float(lo), float(hi)
+            float(partial), float(value), float((hi - lo) / 2), float(lo), float(hi)
         )
 
 

@@ -26,20 +26,29 @@ def _has_default(value: ast.expr | None) -> bool:
     return True
 
 
-def _settable(tree: ast.AST) -> int:
-    """Parameters with a default plus dataclass fields with a default."""
-    n = 0
-    for node in ast.walk(tree):
+def _settable(path: Path) -> list[tuple[str, str, str]]:
+    """(file, def or class, name) of each parameter with a default and each
+    dataclass field with a default."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            n += len(node.args.defaults)
-            n += sum(d is not None for d in node.args.kw_defaults)
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults) :]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            owner = getattr(node, "name", "<lambda>")
+            out += [(path.name, owner, a.arg) for a in named]
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            n += sum(isinstance(s, ast.AnnAssign) and _has_default(s.value) for s in node.body)
-    return n
+            out += [
+                (path.name, node.name, s.target.id)
+                for s in node.body
+                if isinstance(s, ast.AnnAssign) and _has_default(s.value)
+            ]
+    return out
 
 
 def test_settable_values():
     # every settable value is a configuration to test; a new one edits this
     # pin and says why
-    total = sum(_settable(ast.parse(f.read_text())) for f in sorted(SRC.glob("*.py")))
-    assert total == 38
+    values = [v for f in sorted(SRC.glob("*.py")) for v in _settable(f)]
+    assert len(values) == 26, "\n".join(map(str, values))

@@ -92,7 +92,7 @@ def test_evaluate_E_explicit_vs_brute(l):
 
 
 def test_gauss_f():
-    assert es.gauss_f(4, 1) == 1
+    assert es.gauss_f(4, 1) == es.gauss_f(0, 1) == 1
     assert abs(es.gauss_f(1, 5) - (math.sqrt(5) - 1)) < 1e-12
     assert abs(es.gauss_f(2, 35)) <= (math.sqrt(5) + 1) * (math.sqrt(7) + 1)
     for q in (3, 5, 7, 15, 21, 35):
@@ -187,6 +187,8 @@ def test_lemma1_ratio():
     # (3, 6, 9) = 3 and d(9) = 3
     want = abs(es.E_sum(3, 6, 9)) / (math.sqrt(3) * 3 * 9)
     assert abs(es.lemma1_ratio(3, 6, 9) - want) < 1e-12
+    # q = 1: E = 1, (c, d, 1) = 1 and d(1) = 1
+    assert es.lemma1_ratio(5, 7, 1) == es.lemma1_ratio(0, 0, 1) == 1.0
 
 
 def test_suite_details_pin_counts(suite_run):

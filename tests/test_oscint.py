@@ -61,6 +61,10 @@ def test_I1_matches_finite_difference():
 
 def test_G1_zero_for_nonneg_alpha():
     assert oi.G1_eval(oi.OscillatoryProblem(1.0, 1.0), 2.0) == 0
+    # s <= 0 is rejected whatever the sign of alpha, as in I1_eval
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            oi.G1_eval(oi.OscillatoryProblem(1.0, 1.0), s)
 
 
 def test_I1_G1_pair():

@@ -99,17 +99,22 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             factors[p] = factors.get(p, 0) + 1
             m //= p
     if m > 1:
-        # wheel over 6k +- 1 up to the trial limit
+        # wheel over 6k +- 1 up to the trial limit; a cofactor of 2^32 or
+        # more is tested for primality first and after each factor found,
+        # as the wheel would walk to the limit to prove it prime
         d = 7
         step = 4
-        while d * d <= m and d < _TRIAL_LIMIT:
-            while m % d == 0:
-                factors[d] = factors.get(d, 0) + 1
-                m //= d
+        prime = m >= 2**32 and is_prime(m)
+        while not prime and d * d <= m and d < _TRIAL_LIMIT:
+            if m % d == 0:
+                while m % d == 0:
+                    factors[d] = factors.get(d, 0) + 1
+                    m //= d
+                prime = m >= 2**32 and is_prime(m)
             d += step
             step = 6 - step
         if m > 1:
-            if d * d > m:
+            if prime or d * d > m:
                 factors[m] = factors.get(m, 0) + 1
             else:
                 stack = [m]

@@ -17,9 +17,9 @@ on routes where it converges at once (`_ai`; mpmath tries an asymptotic
 series first, which reaches the working digits only past the edge
 (4/3) |x|^(3/2) = prec ln 2 + 23, |x| = 14.5 at 21 digits):
 
-- below -edge, the connection formula Ai(x) = 2 Re[w Ai(-x w)],
-  w = e^(i pi/3) (DLMF 9.2.11), and its derivative take Ai at real part
-  -x/2 > 4, where mpmath's asymptotic series converges;
+- below -edge, mpmath's asymptotic 2F0 series of Ai and Ai' at the
+  rotated point |x| e^(i pi/3), in real form (DLMF 9.7.9-9.7.10): one
+  real cosine and sine of the phase, no complex ``airyai``;
 - from -edge to 4, mpmath's Maclaurin series at x itself
   (``force_series``);
 - from 4 to edge, the Maclaurin pair of Ai and Ai' in 0F1 form
@@ -145,10 +145,15 @@ def _ai(x, n: int):
     of the edge the attempt fails and mpmath falls back to a slower route,
     so:
 
-    - below -edge, the connection formula Ai(x) = 2 Re[w Ai(-x w)],
-      w = e^(i pi/3) (DLMF 9.2.11), and its derivative
-      Ai'(x) = -2 Re[w^2 Ai'(-x w)] take Ai at real part -x/2 > 4, where
-      the asymptotic series converges;
+    - below -edge, the connection formula Ai(x) = 2 Re[w Ai(z)],
+      w = e^(i pi/3), z = |x| w (DLMF 9.2.11), with mpmath's asymptotic
+      series of Ai(z), which converges there.  As z^(3/2) = i t,
+      t = |x|^(3/2), it is real in form (DLMF 9.7.9-9.7.10): with
+      zeta = 2 t / 3 and r = 3i / (4 t),
+          Ai  = Re[e^(-i(zeta - pi/4)) 2F0(1/6, 5/6; r)] / (sqrt(pi) |x|^(1/4)),
+          Ai' = |x|^(1/4) Re[e^(-i(zeta - 3 pi/4)) 2F0(-1/6, 7/6; r)] / sqrt(pi),
+      the phase taken with 1.5 log2 |x| more bits, as mpmath takes it,
+      since zeta amplifies its rounding;
     - from -edge to 4, Ai at x itself is summed as its Maclaurin series
       (``force_series``);
     - from 4 to edge, Ai and Ai' come from their Maclaurin pair in 0F1 form
@@ -162,9 +167,12 @@ def _ai(x, n: int):
     """
     edge = (0.75 * (mp.prec * _LN2 + 23)) ** (2 / 3)
     if x < -edge:
-        w = mp.mpc(0.5, mp.sqrt(3) / 2)
-        v = mp.airyai(-x * w, derivative=n)
-        return 2 * (w * v).real if n == 0 else -2 * (w * w * v).real
+        with mp.extraprec(int(1.5 * mp.mag(x))):
+            y = mp.sqrt(-x)
+            t = -x * y
+            c, s = mp.cos_sin(2 * t / 3 - (2 * n + 1) * mp.pi / 4)
+        f = mp.hyp2f0((1 - 2 * n, 6), (5 + 2 * n, 6), mp.mpc(0, 3 / (4 * t)), force_series=True)
+        return (c * f.real + s * f.imag) * (mp.sqrt(y / mp.pi) if n else 1 / mp.sqrt(y * mp.pi))
     if x <= 4:
         return mp.airyai(x, derivative=n, force_series=True)
     if x <= edge:

@@ -105,11 +105,18 @@ def suite_arith(seed: int) -> SuiteReport:
                     bad += 1
     add(CheckResult("sqrt_mod_prime_power_exhaustive_2000", bad == 0, bad))
 
+    # each m's factors are primes, increasing, with e >= 1, and multiply
+    # back to m
+    is_prime = arith.prime_sieve(10**5).tolist()
     bad = 0
     for m in range(1, 10**5 + 1):
-        prod = 1
+        prod = last = 1
         for p, e in arith.factorize(m):
+            if e < 1 or not last < p <= m or not is_prime[p]:
+                prod = 0
+                break
             prod *= p**e
+            last = p
         if prod != m:
             bad += 1
     add(CheckResult("factorize_roundtrip_1e5", bad == 0, bad))

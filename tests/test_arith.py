@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +13,39 @@ def test_factorize_examples():
     assert arith.factorize(12) == ((2, 2), (3, 1))
     assert type(arith.factorize(12)) is tuple
     assert arith.factorize(1) == arith.factorize(-1) == ()
-    m61 = 2**61 - 1
-    assert arith.factorize(m61) == ((m61, 1),)
     with pytest.raises(ValueError):
         arith.factorize(0)
+
+
+def _lines_run(f, *args):
+    """(f(*args), the number of lines run in f's own frame, not its callees')."""
+    code, lines = f.__code__, [0]
+
+    def local(frame, event, arg):
+        lines[0] += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return f(*args), lines[0]
+    finally:
+        sys.settrace(None)
+
+
+def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
+    # a prime cofactor >= 2^32 ends factorize before the 6k +- 1 wheel,
+    # which would run ~10^6 lines up to the trial limit
+    m61 = 2**61 - 1
+    for n, f in ((m61, ((m61, 1),)), (6 * m61, ((2, 1), (3, 1), (m61, 1)))):
+        got, lines = _lines_run(arith.factorize, n)
+        assert got == f and lines < 100, (n, got, lines)
+    # a composite cofactor with both primes past the trial limit still
+    # walks the wheel, then splits by Pollard rho
+    rho, pollard_rho = [], arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda v: rho.append(v) or pollard_rho(v))
+    n = (2**31 - 1) * 1000003
+    assert arith.factorize(n) == ((1000003, 1), (2**31 - 1, 1))
+    assert rho == [n]
 
 
 def test_factorize_roundtrip_random():
@@ -77,8 +107,12 @@ def test_is_prime_rejects_psi_t(n, t):
 
 @pytest.mark.parametrize("center", [1373653, 25326001])
 def test_is_prime_matches_sieve_near_psi(center):
+    # sieve the window [lo, hi] alone by the primes up to sqrt(hi), all below lo
     lo, hi = center - 10**4, center + 10**4
-    primes = [p for p in arith.primes_up_to(hi) if p >= lo]
+    window = np.ones(hi - lo + 1, dtype=bool)
+    for p in arith.primes_up_to(math.isqrt(hi)):
+        window[-lo % p :: p] = False
+    primes = (np.flatnonzero(window) + lo).tolist()
     assert [n for n in range(lo, hi + 1) if arith.is_prime(n)] == primes
 
 

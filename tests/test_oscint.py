@@ -9,6 +9,8 @@ from mpmath import mp
 
 from deltasieve import oscint as oi
 
+import _airy_sweep
+
 
 def test_problem_validation():
     with pytest.raises(ValueError):
@@ -231,10 +233,6 @@ def _direct_route(alpha, beta, s=None, dps=None):
         return complex(float(v))
 
 
-def _bits(v):
-    return v.real.hex(), v.imag.hex()  # hex keeps the sign of a zero
-
-
 def _context_points():
     """(alpha, beta, s) of the station band (s = 1) and the omega contexts."""
     pts = [(a, b, 1.0) for a, b in oi.default_station_grid()]
@@ -254,21 +252,21 @@ def test_I_eval_bit_identical_to_direct_route():
     kinds = set()
     for alpha, beta in pts:
         v = oi.I_eval(oi.OscillatoryProblem(alpha, beta))
-        assert _bits(v) == _bits(_direct_route(alpha, beta)), (alpha, beta)
+        assert _airy_sweep.bits(v) == _airy_sweep.bits(_direct_route(alpha, beta)), (alpha, beta)
         assert v.imag == 0.0
         kinds.add("zero" if v == 0 else "subnormal" if abs(v) < 2.0**-1022 else "normal")
     assert kinds == {"zero", "subnormal", "normal"}
 
 
 def test_I1_eval_bit_identical_to_direct_route():
-    # u = -20..20 steps through every Ai and Ai' band at beta = 9
-    pts = [(float(u), 9.0, 8.0) for u in range(-250, 251, 5)]
-    pts += [(float(u), 9.0, 8.0) for u in range(-20, 21)]
+    # the u-sum at beta = 9 steps through every Ai and Ai' band
+    pts = [(float(u), 9.0, 8.0) for u in range(-250, 251)]
     pts += _context_points()
     pts += [(a, b, 1.0) for b in (1e-2, 0.1) for a in (-30.0, -3.0, 0.0, 1.5, 30.0)]
     for alpha, beta, s in pts:
         v = oi.I1_eval(oi.OscillatoryProblem(alpha, beta), s)
-        assert _bits(v) == _bits(_direct_route(alpha, beta, s)), (alpha, beta, s)
+        ref = _direct_route(alpha, beta, s)
+        assert _airy_sweep.bits(v) == _airy_sweep.bits(ref), (alpha, beta, s)
 
 
 @pytest.mark.parametrize("beta", [1e-9, 1e-7, 1e-6, 1e-4])
@@ -281,49 +279,69 @@ def test_I1_small_beta_matches_120_digits(beta, s):
     assert abs(v.real - ref.real) <= 1e-14 * abs(ref.real)
 
 
-def _edge():
-    """|x| where (4/3) |x|^(3/2) = prec ln 2 + 23 at the current precision."""
-    return (0.75 * (mp.prec * math.log(2) + 23)) ** (2 / 3)
+@pytest.mark.parametrize("dps", [17, 21, 37, 60, 100, 200])
+def test_rotated_ai_matches_connection_formula(dps):
+    # below -edge, Ai and Ai' against 2 Re[w Ai(-x w)] and -2 Re[w^2 Ai'(-x w)]
+    # through mp.airyai at the complex point, within a few ulps of the
+    # envelope |x|^(n/2 - 1/4) / sqrt(pi); the formula is taken 64 bits up,
+    # as the rounding of -x w at the working precision moves it by up to
+    # zeta ulps
+    with mp.workdps(dps):
+        edge = _airy_sweep.edge()
+        xs = [-edge * (1 + 1e-12)] + [-edge - (1000 - edge) * (k / 60) ** 2 for k in range(1, 61)]
+        for x in map(mp.mpf, xs):
+            for n in (0, 1):
+                v = oi._ai(x, n)
+                with mp.extraprec(64):
+                    ref = _airy_sweep.connection_ai(x, n)
+                ulp = abs(x) ** (n / 2 - 0.25) / mp.sqrt(mp.pi) * mp.mpf(2) ** -mp.prec
+                assert abs(v - ref) <= 6 * ulp, (dps, x, n)
 
 
 def test_airy_routing(monkeypatch):
     # the u-sum at beta = 9 and I1 over the station band and at beta = 9
-    # call airyai only on its cheap branches: a rotated argument only where
-    # mpmath's asymptotic series reaches the working digits (under
-    # force_series it raises NoConvergence otherwise), plain series from
-    # that edge to 4, the 0F1 pair from 4 to the edge, and no call where
-    # I rounds to 0 (u >= 96)
-    calls, series = [], []
-    airyai, hyp0f1 = mp.airyai, mp.hyp0f1
+    # call mpmath only on its cheap branches: the 2F0 series of the rotated
+    # Ai and Ai' only where it reaches the working digits (under
+    # force_series it raises NoConvergence otherwise) and no complex
+    # airyai, plain series from that edge to 4, the 0F1 pair from 4 to the
+    # edge, and no call where I rounds to 0 (u >= 96)
+    calls, series, rotated = [], [], []
+    airyai, hyp0f1, hyp2f0 = mp.airyai, mp.hyp0f1, mp.hyp2f0
 
     def recording(z, derivative=0, **kwargs):
-        calls.append((u, z, _edge(), kwargs))
-        if isinstance(z, mp.mpc):
-            airyai(z, derivative=derivative, force_series=True)
+        calls.append((u, z, _airy_sweep.edge(), kwargs))
         return airyai(z, derivative=derivative, **kwargs)
 
     def recording_0f1(b, z, **kwargs):
         series.append((b, kwargs))
         return hyp0f1(b, z, **kwargs)
 
+    def recording_2f0(a, b, z, **kwargs):
+        # z = 3i / (4 |x|^(3/2))
+        rotated.append(((a, b), (0.75 / abs(z)) ** (2 / 3), _airy_sweep.edge(), kwargs))
+        return hyp2f0(a, b, z, **kwargs)
+
     monkeypatch.setattr(mp, "airyai", recording)
     monkeypatch.setattr(mp, "hyp0f1", recording_0f1)
+    monkeypatch.setattr(mp, "hyp2f0", recording_2f0)
     for u in range(-250, 251):
         oi.I_eval(oi.OscillatoryProblem(float(u), 9.0))
     assert calls and max(u for u, *_ in calls) < 96
     assert {b for b, _ in series} == {(2, 3), (4, 3)}
+    assert {ab for ab, *_ in rotated} == {((1, 6), (5, 6))}
     for u, (alpha, beta) in enumerate(oi.default_station_grid()):
         oi.I1_eval(oi.OscillatoryProblem(alpha, beta), 1.0)
     for u in range(-20, 21):
         oi.I1_eval(oi.OscillatoryProblem(float(u), 9.0), 8.0)
-    real = [(z, edge, kw) for _, z, edge, kw in calls if not isinstance(z, mp.mpc)]
-    assert any(isinstance(z, mp.mpc) for _, z, _, _ in calls)
-    assert not any(4 < z <= edge for z, edge, _ in real)
-    band = [(z, kw) for z, edge, kw in real if -edge <= z <= 4]
+    assert not any(isinstance(z, mp.mpc) for _, z, _, _ in calls)
+    assert not any(4 < z <= edge for _, z, edge, _ in calls)
+    band = [(z, kw) for _, z, edge, kw in calls if -edge <= z <= 4]
     assert any(z < -8 for z, _ in band) and any(-8 <= z <= 4 for z, _ in band)
     assert all(kw.get("force_series") for _, kw in band)
     assert {b for b, _ in series} == {(1, 3), (2, 3), (4, 3), (5, 3)}
     assert all(kw.get("force_series") for _, kw in series)
+    assert {ab for ab, *_ in rotated} == {((1, 6), (5, 6)), ((-1, 6), (7, 6))}
+    assert all(x > edge and kw.get("force_series") for _, x, edge, kw in rotated)
 
 
 def test_no_scipy_import():

@@ -17,8 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_TRIAL_LIMIT = 10**6
-
 # Deterministic Miller-Rabin witness set, valid for all n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -99,22 +97,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             factors[p] = factors.get(p, 0) + 1
             m //= p
     if m > 1:
-        # wheel over 6k +- 1 up to the trial limit; a cofactor of 2^32 or
-        # more is tested for primality first and after each factor found,
-        # as the wheel would walk to the limit to prove it prime
+        # wheel over 6k +- 1 below 2^32, where it ends by d <= 2^16; a
+        # cofactor of 2^32 or more goes to the primality test and Pollard
+        # rho at once, as the wheel could walk far to split or prove it
         d = 7
         step = 4
-        prime = m >= 2**32 and is_prime(m)
-        while not prime and d * d <= m and d < _TRIAL_LIMIT:
+        while m < 2**32 and d * d <= m:
             if m % d == 0:
                 while m % d == 0:
                     factors[d] = factors.get(d, 0) + 1
                     m //= d
-                prime = m >= 2**32 and is_prime(m)
             d += step
             step = 6 - step
         if m > 1:
-            if prime or d * d > m:
+            if d * d > m:
                 factors[m] = factors.get(m, 0) + 1
             else:
                 stack = [m]
@@ -272,6 +268,8 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
         pj = p ** (j + 1)
         fy = (y * y - aa) % pj
         y = (y - fy * pow(2 * y, -1, pj)) % pj
+    if v == 0:  # a unit: the two roots y and p^k - y
+        return [y, pk - y] if y < pk - y else [pk - y, y]
     half = p ** (v // 2)
     base = p ** kk
     # distinct and below p^k: y != base - y for odd p, and y0 + j base < half base

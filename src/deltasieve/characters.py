@@ -157,11 +157,31 @@ def principal_character(q: int) -> DirichletCharacter:
     return DirichletCharacter(q, (0,) * len(_orders(q)))
 
 
+# The caches below hold one modulus: callers visit the characters of a
+# modulus one after another, and a table per modulus up to
+# MAX_CHARACTER_MODULUS would not stay small.
+
+
+@lru_cache(maxsize=1)
+def _additive_phases(q: int) -> np.ndarray:
+    """e(x / q) for x = 0 .. q - 1."""
+    x = np.arange(q)
+    out = np.exp(2j * np.pi * x / q)
+    out.flags.writeable = False
+    return out
+
+
 def tau(chi: DirichletCharacter) -> complex:
     """Gauss sum sum_x chi(x) e(x / q)."""
-    q = chi.modulus
-    x = np.arange(q)
-    return complex(np.sum(chi.table() * np.exp(2j * np.pi * x / q)))
+    return complex(np.sum(chi.table() * _additive_phases(chi.modulus)))
+
+
+@lru_cache(maxsize=1)
+def _induced_unit_masks(q: int) -> tuple[np.ndarray, ...]:
+    """For each prime p | q, the mask of the units x = 1 (mod q/p), over
+    the units of `_angle_numerators`."""
+    units = _angle_numerators(q)[0]
+    return tuple((units - 1) % (q // p) == 0 for p, _ in factorize(q))
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
@@ -171,11 +191,8 @@ def is_primitive(chi: DirichletCharacter) -> bool:
         return False
     # chi(x) = 1 exactly when its angle numerator is 0 mod L, so the units
     # x = 1 (mod q/p) are tested on integers, without building the table
-    units, k, _ = _numerators(q, chi.exponents)
-    for p, _ in factorize(q):
-        if not k[(units - 1) % (q // p) == 0].any():
-            return False
-    return True
+    _, k, _ = _numerators(q, chi.exponents)
+    return all(k[mask].any() for mask in _induced_unit_masks(q))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +289,9 @@ def _bucket_matrix(hi, q1, r_mod, coprime_to):
     n = np.arange(1, hi + 1, dtype=np.int64)
     mu = _mu_upto(max(hi, 1))[1 : hi + 1].astype(np.float64)
     mu = mu * (np.gcd(n, coprime_to) == 1)
-    W = np.zeros((q1, r_mod))
-    np.add.at(W, (n % q1, n % r_mod), mu)
-    return W
+    # the sums of mu in {-1, 0, 1} are exact in any order
+    W = np.bincount(n % q1 * r_mod + n % r_mod, weights=mu, minlength=q1 * r_mod)
+    return W.reshape(q1, r_mod)
 
 
 def decomposition_sweep(q1: int, r: int, s: int, coprime_to: int) -> dict[tuple[int, int], float]:

@@ -279,29 +279,45 @@ def balance_exponents(
     """
     if not terms:
         raise ValueError("need at least one term")
-    step = float(BALANCE_STEP)
-    ts = np.arange(step, float(BALANCE_T_MAX) + step / 2, step)
-    ks = np.arange(step, 1.0, step)
-    best = np.full(ts.shape, np.inf)
-    best_k = np.zeros(ts.shape)
-    # sweep kappa; keep the best kappa per t (memory stays O(grid))
-    consts = [(float(e.const), float(e.ct), float(e.ck), float(e.ctk)) for e in terms]
-    for k in ks:
-        cur = np.full(ts.shape, -np.inf)
-        for c0, ct, ck, ctk in consts:
-            np.maximum(cur, c0 + ct * ts + ck * k + ctk * ts * k, out=cur)
-        better = cur < best
-        best[better] = cur[better]
-        best_k[better] = k
+    ts, best, best_k = _balance_grid(terms)
     i = int(np.argmin(best))
     grid_best, grid_t, grid_kappa = float(best[i]), float(ts[i]), float(best_k[i])
     if start is not None:
         t0, k0 = start
     else:
-        t0 = Fraction(round(grid_t / step)) * BALANCE_STEP
-        k0 = Fraction(round(grid_kappa / step)) * BALANCE_STEP
+        t0 = Fraction(round(grid_t / float(BALANCE_STEP))) * BALANCE_STEP
+        k0 = Fraction(round(grid_kappa / float(BALANCE_STEP))) * BALANCE_STEP
     exact = max(term(t0, k0) for term in terms)
     return BalanceResult(t0, k0, exact, grid_best, grid_t, grid_kappa)
+
+
+def _balance_grid(terms: list[ExponentTerm]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, best, best_k): the t grid, and per t the least max_i e_i over
+    the kappa grid with the first kappa that attains it."""
+    step = float(BALANCE_STEP)
+    ts = np.arange(step, float(BALANCE_T_MAX) + step / 2, step)
+    ks = np.arange(step, 1.0, step)
+    best = np.full(ts.shape, np.inf)
+    best_k = np.zeros(ts.shape)
+    # each grid value is ((c0 + ct t) + ck k) + (ctk t) k; the parts in t
+    # alone are built once, and the terms free of kappa are one floor in t
+    floor = np.full(ts.shape, -np.inf)
+    sloped = []
+    for e in terms:
+        c0, ct, ck, ctk = float(e.const), float(e.ct), float(e.ck), float(e.ctk)
+        if ck == ctk == 0:
+            np.maximum(floor, c0 + ct * ts, out=floor)
+        else:
+            sloped.append((c0 + ct * ts, ck, ctk * ts))
+    # sweep kappa; keep the best kappa per t (memory stays O(grid))
+    for k in ks:
+        cur = floor.copy()
+        for base, ck, slope in sloped:
+            np.maximum(cur, base + ck * k + slope * k, out=cur)
+        better = cur < best
+        best[better] = cur[better]
+        best_k[better] = k
+    return ts, best, best_k
 
 
 def paper_balance() -> BalanceResult:

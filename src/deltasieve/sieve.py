@@ -770,13 +770,18 @@ def naive_squarefree_count(X: float) -> int:
             big.append(p2)
     vals.sort()
     total = 0
+    # bounds of the values' own type: a Python int would make searchsorted
+    # convert the whole array on every call
+    bound = vals.dtype.type
+    chunk = np.empty(min(_CHUNK, dmax + 1), dtype=bool)
     for lo in range(0, dmax + 1, _CHUNK):
         hi = min(lo + _CHUNK, dmax + 1)
-        i = int(vals.searchsorted(lo))
-        j = int(vals.searchsorted(hi - 1, side="right"))
+        i = int(vals.searchsorted(bound(lo)))
+        j = int(vals.searchsorted(bound(hi - 1), side="right"))
         if i == j:
             continue
-        sf = np.ones(hi - lo, dtype=bool)
+        sf = chunk[: hi - lo]
+        sf.fill(True)
         for p2 in big:
             if p2 >= hi:
                 break

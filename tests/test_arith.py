@@ -39,12 +39,13 @@ def test_factorize_stops_at_a_prime_cofactor(monkeypatch):
     for n, f in ((m61, ((m61, 1),)), (6 * m61, ((2, 1), (3, 1), (m61, 1)))):
         got, lines = _lines_run(arith.factorize, n)
         assert got == f and lines < 100, (n, got, lines)
-    # a composite cofactor with both primes past the trial limit still
-    # walks the wheel, then splits by Pollard rho
+    # a composite cofactor >= 2^32 goes to Pollard rho without the wheel,
+    # which would run ~10^6 lines before reaching its smaller prime
     rho, pollard_rho = [], arith._pollard_rho
     monkeypatch.setattr(arith, "_pollard_rho", lambda v: rho.append(v) or pollard_rho(v))
     n = (2**31 - 1) * 1000003
-    assert arith.factorize(n) == ((1000003, 1), (2**31 - 1, 1))
+    got, lines = _lines_run(arith.factorize, n)
+    assert got == ((1000003, 1), (2**31 - 1, 1)) and lines < 100, (got, lines)
     assert rho == [n]
 
 

@@ -246,9 +246,21 @@ def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
     """A RuntimeError from the sieve kernel (here the B -> -B gate, tripped
     by a stage 2 that breaks the symmetry) fails the sieve suite with one
     check that carries it, while the other suites still run; `count` exits
-    1 with `error: ...` on stderr and no payload."""
+    1 with `error: ...` on stderr and no payload.  Every suite but `sieve`
+    is a one-check stub, so only the failing suite does real work."""
     from deltasieve import sieve, suites
 
+    ran = []
+
+    def stub(name):
+        def run(seed):
+            ran.append(name)
+            return suites.SuiteReport(name, seed, [suites.CheckResult("stub", True, 0.0)])
+
+        return run
+
+    stubs = {n: f if n == "sieve" else stub(n) for n, f in suites.SUITES.items()}
+    monkeypatch.setattr(suites, "SUITES", stubs)
     marked_rows = sieve._marked_rows
 
     def flip_one(As, Bmax, *rest):
@@ -262,6 +274,7 @@ def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
     out, err = capsys.readouterr()
     reports = json.loads(out)["suites"]
     assert [r["name"] for r in reports] == list(suites.SUITES)
+    assert ran == [n for n in suites.SUITES if n != "sieve"]  # poisson runs after sieve
     assert [r["name"] for r in reports if not r["ok"]] == ["sieve"]
     (check,) = reports[list(suites.SUITES).index("sieve")]["checks"]
     assert check["name"] == "raised" and "stripe A = 1:" in check["detail"]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from deltasieve import density as dn
@@ -171,6 +172,52 @@ def test_balance_single_term():
     assert res.exponent == 6
 
 
+def _grid_oracle(terms):
+    """(ts, best, best_k) of the balancer's float grid, every term
+    evaluated at every kappa as c0 + ct t + ck kappa + ctk t kappa."""
+    step = float(dn.BALANCE_STEP)
+    ts = np.arange(step, float(dn.BALANCE_T_MAX) + step / 2, step)
+    best = np.full(ts.shape, np.inf)
+    best_k = np.zeros(ts.shape)
+    consts = [(float(e.const), float(e.ct), float(e.ck), float(e.ctk)) for e in terms]
+    for k in np.arange(step, 1.0, step):
+        cur = np.full(ts.shape, -np.inf)
+        for c0, ct, ck, ctk in consts:
+            np.maximum(cur, c0 + ct * ts + ck * k + ctk * ts * k, out=cur)
+        better = cur < best
+        best[better] = cur[better]
+        best_k[better] = k
+    return ts, best, best_k
+
+
+def _random_terms(seed):
+    """Seven terms with small random rational coefficients; the first two
+    have only ck and only ctk nonzero among the kappa coefficients, so
+    neither goes to the kappa-free floor."""
+    rng = np.random.default_rng(seed)
+
+    def frac():
+        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+
+    terms = [
+        dn.ExponentTerm(frac(), frac(), frac() or Fraction(1), Fraction(0)),
+        dn.ExponentTerm(frac(), frac(), Fraction(0), frac() or Fraction(-1)),
+    ]
+    terms += [dn.ExponentTerm(frac(), frac(), frac(), frac()) for _ in range(5)]
+    return terms
+
+
+def test_balance_grid_matches_per_kappa_oracle():
+    dropped = dn.paper_terms()
+    del dropped[1]  # 16 - 2t
+    for terms in (dn.paper_terms(), dropped, [dn.ExponentTerm(Fraction(6))], _random_terms(0)):
+        ts, best, best_k = _grid_oracle(terms)
+        # every grid value, not only the minimum, is the oracle's double
+        got = dn._balance_grid(terms)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (ts, best, best_k))), terms
+        i = int(np.argmin(best))
+        res = dn.balance_exponents(terms)
+        assert (res.grid_best, res.grid_t, res.grid_kappa) == (best[i], ts[i], best_k[i])
 
 
 def test_balance_empty_terms():

@@ -129,10 +129,6 @@ class DirichletCharacter:
             self, "exponents", tuple(k % n for k, n in zip(self.exponents, orders))
         )
 
-    @property
-    def is_principal(self) -> bool:
-        return all(k == 0 for k in self.exponents)
-
     def __call__(self, n: int) -> complex:
         return complex(self.table()[n % self.modulus])
 
@@ -151,10 +147,6 @@ def _char_table(q: int, exponents: tuple[int, ...]) -> np.ndarray:
 def character_table(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q (the principal one first)."""
     return [DirichletCharacter(q, exps) for exps in product(*(range(n) for n in _orders(q)))]
-
-
-def principal_character(q: int) -> DirichletCharacter:
-    return DirichletCharacter(q, (0,) * len(_orders(q)))
 
 
 # The caches below hold one modulus: callers visit the characters of a
@@ -198,7 +190,7 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 # ---------------------------------------------------------------------------
 # Mobius sums over progressions
 
-_MU_TABLE_CAP = 1 << 22  # full cached table below this; segmented beyond
+_MU_TABLE_CAP = 1 << 22  # width of a sieved mu segment
 
 
 @lru_cache(maxsize=8)
@@ -212,23 +204,13 @@ def _mu_upto(n: int) -> np.ndarray:
     return _mu_cached(size)
 
 
-def _mu_segments(lo: int, hi: int):
-    """Yield (n_start, mu_array) covering [lo, hi], segmented for big ranges."""
-    if hi < _MU_TABLE_CAP:
-        yield lo, _mu_upto(hi)[lo : hi + 1]
-        return
-    step = _MU_TABLE_CAP
-    for a in range(lo, hi + 1, step):
-        b = min(a + step, hi + 1)
-        yield a, mobius_range(a, b)
-
-
 def _class_sums(lo: int, hi: int, q1: int, w: float, coprime_to: int) -> np.ndarray:
     """sums[k] = sum of mu(n) e(w n) over lo <= n <= hi with n = k (mod q1)
-    and (n, coprime_to) = 1, accumulated in order of n from a sieved mu
-    table (segmented past 2^22 so the 1e8 range cap stays within memory)."""
+    and (n, coprime_to) = 1, accumulated in order of n from mu sieved in
+    segments _MU_TABLE_CAP wide (so the 1e8 range cap stays within memory)."""
     sums = np.zeros(q1, dtype=complex)
-    for start, mu in _mu_segments(lo, hi):
+    for start in range(lo, hi + 1, _MU_TABLE_CAP):
+        mu = mobius_range(start, min(start + _MU_TABLE_CAP, hi + 1))
         n = np.arange(start, start + mu.size, dtype=np.int64)
         vals = mu.astype(np.float64) * (np.gcd(n, coprime_to) == 1)
         vals = vals * np.exp(2j * np.pi * ((w * n) % 1.0))
@@ -240,8 +222,8 @@ def ap_mobius_sum(L: float, s: float, w: float, q1: int, j: int, coprime_to: int
     """S_j(s, w): sum of mu(n) e(w n) over L < n <= s with n = j (mod q1)
     and (n, coprime_to) = 1, evaluated directly as one class of
     `_class_sums`."""
-    if not L < s:
-        raise ValueError("need L < s")
+    if not 0 <= L < s:
+        raise ValueError("need 0 <= L < s")
     if q1 < 1 or math.gcd(j, q1) != 1:
         raise ValueError("(j, q1) must be 1")
     if s > MAX_MU_RANGE:

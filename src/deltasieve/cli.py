@@ -22,11 +22,19 @@ count with its main term (``compare_main_term``).
 
 from __future__ import annotations
 
+import os
+
+# One BLAS/OpenMP thread unless the user sets one, before numpy loads: on a
+# few cores the suites' many small matrix products run slower and vary
+# more with a thread pool.
+PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in PINNED_THREADS:
+    os.environ.setdefault(_name, "1")
+
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass

@@ -321,5 +321,6 @@ def _balance_grid(terms: list[ExponentTerm]) -> tuple[np.ndarray, np.ndarray, np
 
 
 def paper_balance() -> BalanceResult:
-    """The paper preset: exact minimax at (t, kappa) = (124/27, 16/31)."""
+    """The paper preset, evaluated exactly at (t, kappa) = (124/27, 16/31);
+    the grid fields give the grid's minimum beside it."""
     return balance_exponents(paper_terms(), start=(PAPER_T, PAPER_KAPPA))

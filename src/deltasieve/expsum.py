@@ -52,12 +52,12 @@ class PhasePolynomial:
     """Integer polynomial phase with no constant term, mod q.
 
     ``coeffs`` is (c1, c2, ..., cn), lowest degree first, stored reduced
-    into [0, q).  ``coprime_only`` restricts summation to (x, q) = 1.
+    into [0, q).  Its complete sum runs over every x mod q; `E_sum` sums
+    over the units only.
     """
 
     coeffs: tuple[int, ...]
     modulus: int
-    coprime_only: bool = False
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -79,29 +79,36 @@ def _sum_error(n: int) -> float:
     return 2.5e-15 * n + 1e-16
 
 
-def raw_phase_sum(p: PhasePolynomial) -> complex:
-    """Brute-force evaluation of the complete sum for ``p``.
+def _brute_sum(p: PhasePolynomial, x: np.ndarray) -> complex:
+    """sum over the given x of e(f(x) / q), in the order of x.
 
     The phase is reduced mod q exactly in int64 (q <= 1e7 keeps the Horner
     products inside the word), then mapped to the unit circle.
     """
     q = p.modulus
-    if q > MAX_BRUTE_MODULUS:
-        raise ValueError(f"modulus {q} exceeds brute-force cap {MAX_BRUTE_MODULUS}")
-    x = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
+    acc = np.zeros(x.size, dtype=np.int64)
     for c in reversed(p.coeffs):
         acc = (acc * x + c) % q
     acc = acc * x % q  # no constant term: f(x) = (c_n x^(n-1) + ... + c_1) x
-    if p.coprime_only:
-        keep = np.gcd(x, q) == 1
-        acc = acc[keep]
-    return complex(_unit_circle(acc, q).sum()) if acc.size else 0j
+    return complex(_unit_circle(acc, q).sum())
+
+
+def _brute_range(q: int) -> np.ndarray:
+    """0, 1, ..., q - 1, for a modulus within the brute-force cap."""
+    if q > MAX_BRUTE_MODULUS:
+        raise ValueError(f"modulus {q} exceeds brute-force cap {MAX_BRUTE_MODULUS}")
+    return np.arange(q, dtype=np.int64)
+
+
+def raw_phase_sum(p: PhasePolynomial) -> complex:
+    """Brute-force evaluation of the complete sum for ``p``."""
+    return _brute_sum(p, _brute_range(p.modulus))
 
 
 def E_sum(c: int, d: int, q: int) -> complex:
     """E(c, d; q) by brute force: the phase c z^3 - d z^2 on units."""
-    return raw_phase_sum(PhasePolynomial((0, -d, c), q, coprime_only=True))
+    x = _brute_range(q)
+    return _brute_sum(PhasePolynomial((0, -d, c), q), x[np.gcd(x, q) == 1])
 
 
 def F_sum(c3: int, c2: int, c1: int, r: int) -> complex:
@@ -292,8 +299,6 @@ def lemma3_reduce(p: PhasePolynomial, delta: int) -> PhasePolynomial | None:
     None; otherwise the sum equals delta times the sum of the returned
     f/delta mod Q/delta.
     """
-    if p.coprime_only:
-        raise ValueError("lemma 3 applies to unrestricted sums")
     if delta < 1 or p.modulus % delta != 0:
         raise ValueError(f"delta = {delta} must divide Q = {p.modulus}")
     for c in p.coeffs[1:]:
@@ -302,7 +307,7 @@ def lemma3_reduce(p: PhasePolynomial, delta: int) -> PhasePolynomial | None:
     c1 = p.coeffs[0] if p.coeffs else 0
     if c1 % delta != 0:
         return None
-    return PhasePolynomial(tuple(c // delta for c in p.coeffs), p.modulus // delta, False)
+    return PhasePolynomial(tuple(c // delta for c in p.coeffs), p.modulus // delta)
 
 
 @dataclass(frozen=True)
@@ -323,8 +328,6 @@ def loxton_schmidt(p: PhasePolynomial) -> LoxtonSchmidtBound:
     For quadratic f' this is 9 c3^2 at a double root and 12 c3 c1 - 4 c2^2
     otherwise; for linear f' it is the empty product 1.
     """
-    if p.coprime_only:
-        raise ValueError("the bound applies to unrestricted sums")
     q = p.modulus
     deg = p.degree
     coeffs = p.coeffs + (0,) * (3 - len(p.coeffs))

@@ -314,7 +314,11 @@ def I1_G1_eval(problem: OscillatoryProblem, s: float) -> tuple[complex, complex]
 
 @dataclass(frozen=True)
 class ParamContext:
-    """The (u, s)-indexed parameters feeding alpha, beta and the cutoff K."""
+    """The (u, s)-indexed parameters feeding alpha, beta and the cutoff K.
+
+    ``mtilde`` stands for the product m* mtilde of the second Poisson
+    step, the only way m* enters the maps, the envelope and the beta floor.
+    """
 
     u: int
     s: float
@@ -323,24 +327,24 @@ class ParamContext:
     k3: int = 1
     h: int = 1
     d: int = 1
-    mstar: int = 1
     mtilde: int = 1
 
     def __post_init__(self):
         if self.X <= 0 or self.s <= 0:
             raise ValueError("X and s must be positive")
-        if self.mstar == 0 or self.mtilde == 0:
-            raise ValueError("mstar, mtilde must be nonzero")
+        if self.mtilde == 0:
+            raise ValueError("mtilde must be nonzero")
 
 
 def param_map(ctx: ParamContext) -> tuple[float, float, float]:
-    """(alpha, beta, K) with the proof's epsilon set to 0.
+    """(alpha, beta, K) with the proof's epsilon set to 0, where ctx.mtilde
+    stands for m* mtilde.
 
     alpha = u s^2 / (X^4 k3^2 (m* mtilde)^2)
     beta  = k2^2 h^2 d^2 s^4 / (X^12 (m* mtilde)^2)
     K     = (k2 k3 h d s)^2 / X^8
     """
-    mm2 = (ctx.mstar * ctx.mtilde) ** 2
+    mm2 = ctx.mtilde**2
     alpha = ctx.u * ctx.s**2 / (ctx.X**4 * ctx.k3**2 * mm2)
     beta = (ctx.k2 * ctx.h * ctx.d) ** 2 * ctx.s**4 / (ctx.X**12 * mm2)
     K = (ctx.k2 * ctx.k3 * ctx.h * ctx.d * ctx.s) ** 2 / ctx.X**8
@@ -350,7 +354,7 @@ def param_map(ctx: ParamContext) -> tuple[float, float, float]:
 def beta_floor_holds(ctx: ParamContext) -> bool:
     """s >= (|m* mtilde| / (k2 h d))^(1/2) X^3, i.e. beta >= 1 at epsilon = 0."""
     return ctx.s >= math.sqrt(
-        abs(ctx.mstar * ctx.mtilde) / (ctx.k2 * ctx.h * ctx.d)
+        abs(ctx.mtilde) / (ctx.k2 * ctx.h * ctx.d)
     ) * ctx.X**3
 
 
@@ -427,7 +431,7 @@ def omega_scan() -> list[OmegaRow]:
             regime, env = "u=0", 1.0
         elif abs(ctx.u) <= K:
             regime = "0<|u|<=K"
-            env = ctx.X**4 * (ctx.mstar * ctx.mtilde) ** 2 / (abs(ctx.u) * ctx.s**2)
+            env = ctx.X**4 * ctx.mtilde**2 / (abs(ctx.u) * ctx.s**2)
         else:
             regime, env = "|u|>K", OMEGA_ASSERT_LEVEL
         rows.append(

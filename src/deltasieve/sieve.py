@@ -678,12 +678,11 @@ def _stripe_rows(As: np.ndarray, Bmax: int, cfg: CountConfig, deadline: Deadline
     return stripes
 
 
-def _run_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
+def _run_count(cfg: CountConfig, deadline: Deadline) -> CountResult:
     """The stripe rows of the box in A order: in this process, or with
     several workers, worker k on the A with |A| = k (mod workers), both
     signs, so that each column of its root tables serves both.  Every
     worker checks the one deadline."""
-    deadline = deadline or Deadline()
     Amax, Bmax = _box_bounds(cfg)
     _check_int64_headroom(Amax, math.isqrt(4 * Amax**3 + 27 * Bmax**2))
     As = np.arange(-Amax, Amax + 1, dtype=np.int64)
@@ -711,14 +710,14 @@ def exact_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResu
     """Exact number of box pairs with Delta nonzero and square-free."""
     if cfg.mode != "exact":
         raise ValueError("exact_count needs mode='exact'")
-    return _run_count(cfg, deadline)
+    return _run_count(cfg, deadline or Deadline())
 
 
 def smoothed_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountResult:
     """Gaussian-weighted sum of mu^2(Delta) over the truncated box."""
     if cfg.mode != "smoothed":
         raise ValueError("smoothed_count needs mode='smoothed'")
-    return _run_count(cfg, deadline)
+    return _run_count(cfg, deadline or Deadline())
 
 
 # ---------------------------------------------------------------------------

@@ -694,7 +694,7 @@ def suite_characters(seed: int) -> SuiteReport:
     add(CheckResult("tau_primitive_sqrtq_200", worst < 1e-8, worst, f"{nprim} primitive"))
     deadline.check()
 
-    chi0 = characters.principal_character(6)
+    chi0 = characters.character_table(6)[0]
     ram = sum(
         complex(np.exp(2j * np.pi * x / 6)) for x in range(1, 7) if math.gcd(x, 6) == 1
     )

@@ -13,7 +13,7 @@ from deltasieve import characters as ch
 def test_character_table_sizes():
     assert ch.unit_group(1) == ()
     assert len(ch.character_table(1)) == 1
-    assert ch.is_primitive(ch.principal_character(1))
+    assert ch.is_primitive(ch.character_table(1)[0])
     for q in (2, 3, 4, 5, 8, 12, 30, 49):
         assert len(ch.character_table(q)) == arith.euler_phi(q)
 
@@ -33,7 +33,7 @@ def test_q8_characters_real():
 
 
 def test_principal_and_units():
-    chi0 = ch.principal_character(12)
+    chi0 = ch.character_table(12)[0]
     for n in range(12):
         want = 1 if math.gcd(n, 12) == 1 else 0
         assert abs(chi0(n) - want) < 1e-12
@@ -56,17 +56,17 @@ def test_orthogonality_and_multiplicativity():
 
 
 def test_tau():
-    assert abs(ch.tau(ch.principal_character(1)) - 1) < 1e-14
+    assert abs(ch.tau(ch.character_table(1)[0]) - 1) < 1e-14
     for chi in ch.character_table(5):
-        if not chi.is_principal:
+        if any(chi.exponents):
             assert abs(abs(ch.tau(chi)) - math.sqrt(5)) < 1e-12
-    assert abs(ch.tau(ch.principal_character(6)) - arith.mobius(6)) < 1e-12
+    assert abs(ch.tau(ch.character_table(6)[0]) - arith.mobius(6)) < 1e-12
 
 
 def test_is_primitive():
     # mod 4: the non-principal character is primitive
     prim4 = [c for c in ch.character_table(4) if ch.is_primitive(c)]
-    assert len(prim4) == 1 and not prim4[0].is_principal
+    assert len(prim4) == 1 and any(prim4[0].exponents)
     # mod 6 has no primitive characters (conductor is 1 or 3)
     assert not any(ch.is_primitive(c) for c in ch.character_table(6))
     for q in (5, 7, 11, 13):
@@ -122,8 +122,8 @@ def test_values_match_fraction_oracle(case):
 
 
 def test_call_semantics():
-    assert ch.principal_character(1)(0) == 1
-    assert ch.principal_character(1)(-7) == 1
+    assert ch.character_table(1)[0](0) == 1
+    assert ch.character_table(1)[0](-7) == 1
     for q in (9, 12, 40):
         for chi in ch.character_table(q):
             t = chi.table()
@@ -141,7 +141,7 @@ def test_tau_largest_prime_modulus():
     q = 9973  # the largest prime below MAX_CHARACTER_MODULUS
     assert arith.is_prime(q) and q <= ch.MAX_CHARACTER_MODULUS
     chi = ch.DirichletCharacter(q, (1,))
-    assert not chi.is_principal and ch.is_primitive(chi)
+    assert any(chi.exponents) and ch.is_primitive(chi)
     assert abs(abs(ch.tau(chi)) - math.sqrt(q)) < 1e-9
 
 
@@ -163,6 +163,8 @@ def test_ap_mobius_sum():
         (10, 10, 0.0, 1, 1, 1),  # L = s
         (5, 4, 0.0, 1, 1, 1),  # L > s
         (0, ch.MAX_MU_RANGE + 1, 0.0, 1, 1, 1),  # past the range cap
+        (-5, 10, 0.0, 1, 1, 1),  # L < 0
+        (-math.inf, 10, 0.0, 1, 1, 1),  # L not finite
     ]
     for args in bad:
         with pytest.raises(ValueError):
@@ -200,8 +202,24 @@ def test_dirichlet_check_fails_on_broken_draws(monkeypatch):
     assert not check["dirichlet_approximation_property"].ok
 
 
+@pytest.mark.parametrize("width", [7, 1000])
+def test_class_sums_do_not_depend_on_segment_width(monkeypatch, width):
+    """Segments meet without repeating or skipping an n, and the sums are
+    accumulated in order of n, so every width gives the same bytes."""
+
+    def sums():
+        return (
+            ch._class_sums(1, 10**4, 12, 0.37, 6).tobytes(),
+            np.array(ch.ap_mobius_sum(0, 10**4, 0.3, 7, 3, 6)).tobytes(),
+        )
+
+    want = sums()
+    monkeypatch.setattr(ch, "_MU_TABLE_CAP", width)
+    assert sums() == want
+
+
 def test_mertens_1e7_segmented():
-    # forces the segmented mu path; M(10^7) = 1037 is a known value
+    # 10^7 spans three mu segments; M(10^7) = 1037 is a known value
     v = ch.ap_mobius_sum(0, 10**7, 0.0, 1, 1, 1)
     assert v.real == pytest.approx(1037, abs=1e-6)
     assert abs(v.imag) < 1e-9

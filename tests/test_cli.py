@@ -74,6 +74,39 @@ def test_python_dash_m_package():
     assert json.loads(r.stdout)["suite"] == "poisson"
 
 
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# records the thread variables at the first import of numpy, then imports
+# the CLI as `deltasieve` and `python -m deltasieve` do
+SPY_NUMPY_IMPORT = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{k: os.environ.get(k) for k in {BLAS_THREADS!r}}})
+sys.meta_path.insert(0, Spy())
+import deltasieve.cli
+print(json.dumps([seen, {{k: os.environ.get(k) for k in {BLAS_THREADS!r}}}]))
+"""
+
+
+def test_cli_pins_blas_threads_before_numpy():
+    """Importing the CLI sets each unset thread count to 1 before numpy
+    loads, and keeps a value the user set."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for preset, want in (({}, "1"), ({k: "3" for k in BLAS_THREADS}, "3")):
+        r = subprocess.run(
+            [sys.executable, "-c", SPY_NUMPY_IMPORT],
+            capture_output=True, text=True, env={**base, **preset},
+        )
+        assert r.returncode == 0, r.stderr
+        at_numpy, after = json.loads(r.stdout)
+        assert at_numpy == after == {k: want for k in BLAS_THREADS}
+
+
 def test_constant_json():
     r = run_cli(["constant", "--theorem", "2", "--prime-bound", "1000"])
     assert r.returncode == 0

@@ -7,8 +7,6 @@ from deltasieve import expsum as es
 
 
 def test_raw_phase_sum_examples():
-    v = es.raw_phase_sum(es.PhasePolynomial((), 5, coprime_only=True))
-    assert abs(v - 4) < 1e-12  # E(0,0;5) = phi(5)
     v = es.raw_phase_sum(es.PhasePolynomial((1,), 7))
     assert abs(v) < 1e-12  # full geometric sum
     v = es.raw_phase_sum(es.PhasePolynomial((0, 0, 1), 9))
@@ -18,6 +16,8 @@ def test_raw_phase_sum_examples():
 def test_raw_phase_sum_guard():
     with pytest.raises(ValueError):
         es.raw_phase_sum(es.PhasePolynomial((1,), 10**7 + 1))
+    with pytest.raises(ValueError):
+        es.E_sum(1, 1, 10**7 + 1)
 
 
 def test_E_sum_examples():

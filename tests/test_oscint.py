@@ -84,7 +84,7 @@ def test_param_map():
     assert a0 == 0.0
     assert oi.param_map(oi.ParamContext(u=3, s=1.0, X=1.0)) == (3.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        oi.ParamContext(u=1, s=1.0, X=1.0, mstar=0)
+        oi.ParamContext(u=1, s=1.0, X=1.0, mtilde=0)
 
 
 def test_beta_floor():

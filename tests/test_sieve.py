@@ -106,11 +106,11 @@ def test_pool_matches_one_process(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     cfgs = [sv.CountConfig(X=3), sv.CountConfig(X=4), sv.CountConfig(X=2, mode="smoothed")]
-    want = [sv._run_count(cfg) for cfg in cfgs]
+    want = [sv._run_count(cfg, Deadline()) for cfg in cfgs]
     monkeypatch.setattr(sv, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
     for cfg, one in zip(cfgs, want):
-        got = sv._run_count(dataclasses.replace(cfg, threads=2))
+        got = sv._run_count(dataclasses.replace(cfg, threads=2), Deadline())
         assert (got.count, got.stripe_digest) == (one.count, one.stripe_digest)
         assert got.stripe_summaries == one.stripe_summaries
         if cfg.mode == "smoothed":
@@ -157,7 +157,7 @@ def test_mark_fills_three_divides_A_rows():
     # stage 2 sieves no 3 | A stripe (9 | Delta, and every Delta = 0 pair
     # lies there): each is summarized as (A, 0, 0, 0), in both modes
     for cfg in (sv.CountConfig(X=3), sv.CountConfig(X=1.5, mode="smoothed")):
-        rows = sv._run_count(cfg).stripe_summaries
+        rows = sv._run_count(cfg, Deadline()).stripe_summaries
         dead = [row for row in rows if row[0] % 3 == 0]
         assert len(dead) == 2 * (sv._box_bounds(cfg)[0] // 3) + 1
         assert all(row[1:] == (0, 0, 0) + (0.0,) * (cfg.mode == "smoothed") for row in dead)

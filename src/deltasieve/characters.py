@@ -204,17 +204,23 @@ def _mu_upto(n: int) -> np.ndarray:
     return _mu_cached(size)
 
 
-def _class_sums(lo: int, hi: int, q1: int, w: float, coprime_to: int) -> np.ndarray:
-    """sums[k] = sum of mu(n) e(w n) over lo <= n <= hi with n = k (mod q1)
-    and (n, coprime_to) = 1, accumulated in order of n from mu sieved in
-    segments _MU_TABLE_CAP wide (so the 1e8 range cap stays within memory)."""
-    sums = np.zeros(q1, dtype=complex)
+def _class_sums(lo: int, hi: int, q1s, ws, coprime_to: int) -> dict[tuple[int, float], np.ndarray]:
+    """sums[q1, w][k] = sum of mu(n) e(w n) over lo <= n <= hi with
+    n = k (mod q1) and (n, coprime_to) = 1, for every q1 in q1s and w in ws.
+    mu is sieved once, in segments _MU_TABLE_CAP wide (so the 1e8 range cap
+    stays within memory); each segment's phases e(w n) serve every q1, and
+    every sum is accumulated in order of n.  A repeated q1 or w (or w's
+    that compare equal, like 0.0 and -0.0) shares one entry, summed once."""
+    q1s, ws = dict.fromkeys(q1s), dict.fromkeys(ws)
+    sums = {(q1, w): np.zeros(q1, dtype=complex) for q1 in q1s for w in ws}
     for start in range(lo, hi + 1, _MU_TABLE_CAP):
         mu = mobius_range(start, min(start + _MU_TABLE_CAP, hi + 1))
         n = np.arange(start, start + mu.size, dtype=np.int64)
-        vals = mu.astype(np.float64) * (np.gcd(n, coprime_to) == 1)
-        vals = vals * np.exp(2j * np.pi * ((w * n) % 1.0))
-        np.add.at(sums, n % q1, vals)
+        mu = mu.astype(np.float64) * (np.gcd(n, coprime_to) == 1)
+        for w in ws:
+            vals = mu * np.exp(2j * np.pi * ((w * n) % 1.0))
+            for q1 in q1s:
+                np.add.at(sums[q1, w], n % q1, vals)
     return sums
 
 
@@ -232,7 +238,7 @@ def ap_mobius_sum(L: float, s: float, w: float, q1: int, j: int, coprime_to: int
     hi = int(math.floor(s))
     if hi < lo:
         return 0j
-    return complex(_class_sums(lo, hi, q1, w, coprime_to)[j % q1])
+    return complex(_class_sums(lo, hi, (q1,), (w,), coprime_to)[q1, w][j % q1])
 
 
 def dirichlet_approximation(w: float, R: int) -> tuple[int, int, float]:
@@ -363,19 +369,20 @@ def sj_cancellation_scan(
     w_values: tuple[float, ...],
 ) -> list[SjRow]:
     """sum_j |S_j(s, w)| against q1^(1/2) s^(5/6), with (n, 6) = 1;
-    observational only."""
+    observational only.  mu is sieved once per s (`_class_sums`), for
+    every q1 and w at once."""
+    if any(q1 > 50 for q1 in q1_values):
+        raise ValueError("q1 cap is 50")
+    if any(s > 10**7 for s in s_values):
+        raise ValueError("s cap is 10^7 in the scan")
+    sums = {s: _class_sums(1, s, q1_values, w_values, 6) for s in s_values}
     rows = []
     for q1 in q1_values:
-        if q1 > 50:
-            raise ValueError("q1 cap is 50")
         for s in s_values:
-            if s > 10**7:
-                raise ValueError("s cap is 10^7 in the scan")
             for w in w_values:
-                sums = _class_sums(1, s, q1, w, 6)
                 tot = float(
                     sum(
-                        abs(sums[j % q1])
+                        abs(sums[s][q1, w][j % q1])
                         for j in range(1, q1 + 1)
                         if math.gcd(j, q1) == 1
                     )

@@ -29,6 +29,7 @@ from .arith import is_prime, mobius_table, phi_table, prime_sieve, primes_up_to
 SIGMA_CAP = 10**4
 _SEGMENT = 1 << 20  # width of each step of the Euler product's walk over its prime bitmap
 SIGMA_STRUCTURED_CAP = 500
+_PAIR_BLOCK = 1 << 16  # pairs per block of rows of `sigma_pair_bruteforce`
 EULER_DPS = 30  # decimal digits of the Euler product's certified interval
 
 
@@ -47,13 +48,19 @@ def sigma(q: int) -> int:
 
 def sigma_pair_bruteforce(q: int) -> int:
     """Oracle for sigma(): the literal test (4 alpha^3 + 27 beta^2) % q == 0
-    on every pair, over one q x q int64 grid.  The values stay below 2^33
-    for q <= 1000, and nothing is shared with sigma()'s bincount grouping."""
+    on every pair, over blocks of alpha rows of at most _PAIR_BLOCK pairs
+    (int64 temporaries of about 0.5 MiB at q = 961, not one q x q grid).
+    The values stay below 2^33 for q <= 1000, and nothing is shared with
+    sigma()'s bincount grouping."""
     if q > 1000:
         raise ValueError("pair-grid oracle capped at q = 1000")
     a = np.arange(q, dtype=np.int64)
-    grid = (4 * a[:, None] ** 3 + 27 * a[None, :] ** 2) % q
-    return int(np.count_nonzero(grid == 0))
+    b27 = 27 * a**2
+    rows = max(1, _PAIR_BLOCK // q)
+    return sum(
+        int(np.count_nonzero((4 * a[lo : lo + rows, None] ** 3 + b27) % q == 0))
+        for lo in range(0, q, rows)
+    )
 
 
 def sigma_prime_square_structured(p: int) -> int:

@@ -724,69 +724,99 @@ def smoothed_count(cfg: CountConfig, deadline: Deadline | None = None) -> CountR
 # oracles (independent of the stripe sieve)
 
 
-_CHUNK = 1 << 24  # value range of each bitmap of `naive_squarefree_count`
+# values per chunk of the value-space oracles: the square-free bitmap of
+# `naive_squarefree_count` and the histogram of `_delta_histogram` each fill
+# one reused buffer of _CHUNK entries per chunk of [0, max |Delta|]
+_CHUNK = 1 << 22
+_ROWS = 1 << 16  # pairs per block of A rows in which the oracles build |Delta|
+
+
+def _abs_deltas(Amax: int, Bmax: int):
+    """Yields the nonzero |Delta| of the box as int64, one block of A rows
+    (about _ROWS pairs) at a time."""
+    B27 = 27 * np.arange(-Bmax, Bmax + 1, dtype=np.int64) ** 2
+    step = max(1, _ROWS // B27.size)
+    for a in range(-Amax, Amax + 1, step):
+        A = np.arange(a, min(a + step, Amax + 1), dtype=np.int64)[:, None]
+        d = np.abs(4 * A**3 + B27).ravel()
+        yield d[d != 0]
+
+
+def _value_chunks(vals: np.ndarray, top: int):
+    """Yields (lo, hi, i, j) for each chunk [lo, hi) of [0, top], in order,
+    _CHUNK wide but the last: vals[i:j] are the values of the sorted vals
+    that lie in it."""
+    # bounds of the values' own type: a Python int would make searchsorted
+    # convert the whole array on every call
+    bound = vals.dtype.type
+    for lo in range(0, top + 1, _CHUNK):
+        hi = min(lo + _CHUNK, top + 1)
+        i = int(vals.searchsorted(bound(lo)))
+        j = int(vals.searchsorted(bound(hi - 1), side="right"))
+        yield lo, hi, i, j
+
+
+def _squarefree_chunks(vals: np.ndarray, top: int, p2: np.ndarray):
+    """Yields (lo, sf, v) for each chunk [lo, hi) of [0, top] that holds
+    some of the sorted vals: v = those values minus lo, and sf[i] is False
+    exactly where a square of p2 divides lo + i (for 0 < lo + i).  sf is
+    one reused buffer of _CHUNK bytes: read it before the next step.  The
+    p^2 <= _CHUNK are marked by strided slices, the larger ones by one
+    fancy assignment per chunk from one sorted array of all their
+    multiples up to top."""
+    strided = p2[p2 <= _CHUNK].tolist()
+    mults = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [np.arange(m, top + 1, m) for m in p2[p2 > _CHUNK].tolist()]
+    )
+    mults.sort()
+    buf = np.empty(min(_CHUNK, top + 1), dtype=bool)
+    for lo, hi, i, j in _value_chunks(vals, top):
+        if i == j:
+            continue
+        sf = buf[: hi - lo]
+        sf.fill(True)
+        for m in strided:
+            sf[(-lo) % m :: m] = False
+        sf[mults[mults.searchsorted(lo) : mults.searchsorted(hi)] - lo] = False
+        yield lo, sf, vals[i:j] - lo
 
 
 def naive_squarefree_count(X: float) -> int:
     """Per-pair oracle: the nonzero |Delta| of the box, tested in value space.
 
-    The values go into one array of the smallest unsigned type that holds
-    Delta_max (uint32 at X = 4).  Two tests then remove the values with a
-    square factor p^2, p <= sqrt(Delta_max):
+    Two tests remove the values with a square factor p^2, p <= sqrt(Delta_max):
 
-      * value side: for each small p, with p^2 <= Delta_max / #values, one
-        pass of v % p^2 over the surviving values (p <= 11 at X = 4);
-      * bitmap: the survivors are sorted once, and each chunk of the value
-        range [0, Delta_max] gets a square-free bitmap of the larger p^2,
-        looked up for the values in that chunk (found by searchsorted);
-        chunks that hold no value are skipped.
+      * value side: each block of A rows (`_abs_deltas`) drops the
+        multiples of the small p^2, p^2 <= Delta_max / #pairs (p <= 11 at
+        X = 4), before anything is stored.  Only the survivors are kept, in
+        the smallest unsigned type that holds Delta_max (uint32 at X = 4),
+        and they are sorted once;
+      * bitmap: each chunk of [0, Delta_max] that holds a survivor gets a
+        square-free bitmap of the larger p^2 (`_squarefree_chunks`, in one
+        reused buffer of _CHUNK = 2^22 bytes), looked up for the survivors
+        in that chunk.  At X = 4 that is 125 chunks, 38 k strided slices
+        and a sorted array of 26 k multiples of the p^2 > _CHUNK.
 
     Shares nothing with the stripe sieve except the prime list.  Capped at
-    X <= 4 (4.2 M values); the cap is checked before anything is allocated.
+    X <= 4 (4.2 M pairs); the cap is checked before anything is allocated.
     """
     if X > 4:
         raise ValueError("value-space oracle capped at X <= 4")
     Amax, Bmax = int(math.floor(X**4)), int(math.floor(X**6))
     dmax = 4 * Amax**3 + 27 * Bmax**2
-    vals = np.empty((2 * Amax + 1) * (2 * Bmax + 1), dtype=np.min_scalar_type(dmax))
-    n = 0
-    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)
-    d27 = 27 * B * B
-    for A in range(-Amax, Amax + 1):
-        d = 4 * A**3 + d27
-        d = d[d != 0]
-        vals[n : n + d.size] = np.abs(d)
-        n += d.size
-    vals = vals[:n]
-    # a value-side pass costs #values, a bitmap pass Delta_max / p^2
-    small = dmax // max(n, 1)
-    big = []
-    for p in primes_up_to(math.isqrt(dmax)):
-        p2 = p * p
-        if p2 <= small:
-            vals = vals[vals % p2 != 0]
-        else:
-            big.append(p2)
+    p2 = np.asarray(primes_up_to(math.isqrt(dmax)), dtype=np.int64) ** 2
+    # a value-side pass costs #pairs, a bitmap pass Delta_max / p^2
+    on_values = p2 <= dmax // ((2 * Amax + 1) * (2 * Bmax + 1))
+    small, kept = p2[on_values].tolist(), []
+    for d in _abs_deltas(Amax, Bmax):
+        for m in small:
+            d = d[d % m != 0]
+        kept.append(d.astype(np.min_scalar_type(dmax)))
+    vals = np.concatenate(kept)
+    del kept
     vals.sort()
-    total = 0
-    # bounds of the values' own type: a Python int would make searchsorted
-    # convert the whole array on every call
-    bound = vals.dtype.type
-    chunk = np.empty(min(_CHUNK, dmax + 1), dtype=bool)
-    for lo in range(0, dmax + 1, _CHUNK):
-        hi = min(lo + _CHUNK, dmax + 1)
-        i = int(vals.searchsorted(bound(lo)))
-        j = int(vals.searchsorted(bound(hi - 1), side="right"))
-        if i == j:
-            continue
-        sf = chunk[: hi - lo]
-        sf.fill(True)
-        for p2 in big:
-            if p2 >= hi:
-                break
-            sf[(-lo) % p2 :: p2] = False
-        total += int(np.count_nonzero(sf[vals[i:j] - lo]))
-    return total
+    chunks = _squarefree_chunks(vals, dmax, p2[~on_values])
+    return sum(int(np.count_nonzero(sf[v])) for _, sf, v in chunks)
 
 
 def naive_count_tiny(X: float) -> int:
@@ -832,43 +862,70 @@ def naive_weighted_sum(X: float) -> float:
 # S(X; k^2), the Mobius identity and the tail
 
 
-def _delta_histogram(X: float) -> np.ndarray:
-    """h[v] = number of box pairs with |Delta| = v, for v != 0 (h[0] = 0).
-
-    The dtype is the smallest unsigned type that holds the largest count
-    (uint8 at X = 3, 16.5 MB), not bincount's int64.  Capped at X <= 3,
-    checked before anything is allocated."""
+def _histogram_box(X: float) -> tuple[int, int, int]:
+    """(Amax, Bmax, max |Delta| = 4 Amax^3 + 27 Bmax^2) of the box of X;
+    refuses X > 3, the cap of `_delta_histogram`."""
     if X > 3:
         raise ValueError("Delta histogram capped at X <= 3")
     Amax, Bmax = int(math.floor(X**4)), int(math.floor(X**6))
-    A = np.arange(-Amax, Amax + 1, dtype=np.int64)[:, None]
-    B = np.arange(-Bmax, Bmax + 1, dtype=np.int64)[None, :]
-    d = np.abs(4 * A**3 + 27 * B**2).ravel()
-    vals, counts = np.unique(d[d != 0], return_counts=True)
-    size = int(vals[-1]) + 1 if vals.size else 1
-    h = np.zeros(size, dtype=np.min_scalar_type(int(counts.max(initial=0))))
-    h[vals] = counts
-    return h
+    return Amax, Bmax, 4 * Amax**3 + 27 * Bmax**2
 
 
-def S_term(X: float, k: int, hist: np.ndarray | None = None) -> int:
+def _delta_histogram(X: float):
+    """Yields (lo, h) for each chunk [lo, lo + len(h)) of [0, max |Delta|],
+    in order: h[v - lo] = number of box pairs with |Delta| = v != 0 (so
+    h[0] = 0 in the first chunk).
+
+    The chunks are _CHUNK wide but the last, and h is one reused buffer:
+    read it before the next step.  Its dtype is the smallest unsigned type
+    that holds the largest count (uint8 at X = 3: 4 MiB), not bincount's
+    int64.  The distinct |Delta| and their counts are found once, from the
+    blocks of A rows of `_abs_deltas`.  Capped at X <= 3, checked before
+    anything is allocated."""
+    Amax, Bmax, top = _histogram_box(X)
+    vals = np.concatenate([d.astype(np.min_scalar_type(top)) for d in _abs_deltas(Amax, Bmax)])
+    vals, counts = np.unique(vals, return_counts=True)
+    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    buf = np.empty(min(_CHUNK, top + 1), dtype=counts.dtype)
+    for lo, hi, i, j in _value_chunks(vals, top):
+        h = buf[: hi - lo]
+        h.fill(0)
+        h[vals[i:j] - lo] = counts[i:j]
+        yield lo, h
+
+
+def S_term(X: float, k: int) -> int:
     """Box pairs with k^2 | Delta and Delta != 0.
 
     Works in value space, the mechanism of `naive_squarefree_count`: one
-    strided sum over the histogram of |Delta| (`_delta_histogram`).  Like
-    that oracle it shares nothing with the stripe sieve, so
+    strided sum per chunk of the histogram of |Delta| (`_delta_histogram`).
+    Like that oracle it shares nothing with the stripe sieve, so
     `mobius_sieve_identity` stays an independent check of the sieve."""
-    h = _delta_histogram(X) if hist is None else hist
-    return int(h[k * k :: k * k].sum(dtype=np.int64))
+    k2 = k * k
+    return sum(int(h[(-lo) % k2 :: k2].sum(dtype=np.int64)) for lo, h in _delta_histogram(X))
 
 
 def _mobius_S_sum(X: float, k_lo: int) -> int:
     """sum_{k_lo <= k <= kmax} mu(k) S(X; k^2), kmax = isqrt(max |Delta|),
-    over one shared histogram."""
-    h = _delta_histogram(X)
-    kmax = math.isqrt(len(h) - 1)
+    over one pass of the histogram's chunks.  Each chunk sums the strided
+    slices of the k with k^2 < _CHUNK; a larger k^2 has at most one
+    multiple in a chunk, and one gather per chunk reads them all."""
+    kmax = math.isqrt(_histogram_box(X)[2])
     mu = mobius_table(kmax)
-    return sum(int(mu[k]) * S_term(X, k, h) for k in range(k_lo, kmax + 1) if mu[k])
+    k = np.arange(k_lo, kmax + 1, dtype=np.int64)
+    k = k[mu[k_lo:] != 0]
+    k2, m = k * k, mu[k].astype(np.int64)
+    one = k2 >= _CHUNK
+    strided = list(zip(k2[~one].tolist(), m[~one].tolist()))
+    k2, m = k2[one], m[one]
+    total = 0
+    for lo, h in _delta_histogram(X):
+        for q, mq in strided:
+            total += mq * int(h[(-lo) % q :: q].sum(dtype=np.int64))
+        first = (-lo) % k2
+        hit = first < h.size
+        total += int(h[first[hit]] @ m[hit])
+    return total
 
 
 def mobius_sieve_identity(X: float) -> tuple[int, int, bool]:

@@ -209,7 +209,7 @@ def test_class_sums_do_not_depend_on_segment_width(monkeypatch, width):
 
     def sums():
         return (
-            ch._class_sums(1, 10**4, 12, 0.37, 6).tobytes(),
+            ch._class_sums(1, 10**4, (12, 5), (0.37, 0.0), 6)[12, 0.37].tobytes(),
             np.array(ch.ap_mobius_sum(0, 10**4, 0.3, 7, 3, 6)).tobytes(),
         )
 
@@ -225,9 +225,31 @@ def test_mertens_1e7_segmented():
     assert abs(v.imag) < 1e-9
 
 
-def test_sj_scan():
+def test_sj_scan(monkeypatch):
     rows = ch.sj_cancellation_scan((1, 5), (10, 100), (0.0, 0.37))
     assert rows[0].ratio == pytest.approx(1 / 10 ** (5 / 6))
     assert all(r.sum_abs >= 0 for r in rows)
     empty = ch.ap_mobius_sum(50, 50.2, 0.1, 1, 1, 1)
     assert empty == 0
+    # one sieve of mu per s serves every q1 and w, and each row keeps the
+    # bytes of its own class sums
+    units = {1: [1], 5: [1, 2, 3, 4]}
+    assert [r.sum_abs for r in rows] == [
+        float(sum(abs(ch.ap_mobius_sum(0, s, w, q1, j, 6)) for j in units[q1]))
+        for q1 in (1, 5)
+        for s in (10, 100)
+        for w in (0.0, 0.37)
+    ]
+    sieved = []
+    mobius_range = ch.mobius_range
+
+    def counted(lo, hi):
+        sieved.append((lo, hi))
+        return mobius_range(lo, hi)
+
+    monkeypatch.setattr(ch, "mobius_range", counted)
+    assert ch.sj_cancellation_scan((1, 5), (10, 100), (0.0, 0.37)) == rows
+    assert sieved == [(1, 11), (1, 101)]
+    # a repeated q1 or w gives the same row again, not doubled class sums
+    again = ch.sj_cancellation_scan((5, 5), (100,), (0.37, 0.0, -0.0))
+    assert [r.sum_abs for r in again] == [rows[7].sum_abs, rows[6].sum_abs, rows[6].sum_abs] * 2

@@ -20,6 +20,20 @@ def test_sigma_against_pair_loop():
         assert dn.sigma(q) == dn.sigma_pair_bruteforce(q)
 
 
+@pytest.mark.parametrize("block", [1 << 16, 1000])
+def test_pair_grid_row_blocks_match_sigma(block, monkeypatch):
+    """The row blocks of the pair grid tile the alpha rows: a q spanning
+    several blocks (the last one short) and a q within one block both
+    give sigma(q), so a block that repeats or skips its boundary row
+    fails."""
+    monkeypatch.setattr(dn, "_PAIR_BLOCK", block)
+    several = []
+    for q in (961, 256, 31):
+        several.append(q > max(1, block // q))
+        assert dn.sigma_pair_bruteforce(q) == dn.sigma(q), (block, q)
+    assert several[0] and not several[-1]
+
+
 def test_pair_grid_matches_double_loop():
     for q in range(1, 61):
         n = sum(

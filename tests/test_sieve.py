@@ -242,6 +242,37 @@ def test_naive_squarefree_count_matches_concat_route(X, monkeypatch):
     assert sv.naive_squarefree_count(X) == want
 
 
+@pytest.mark.parametrize("chunk", [913, 1 << 12])
+def test_squarefree_chunks_match_one_bitmap(chunk, monkeypatch):
+    """Each chunk's bitmap, by strided slices for p^2 <= _CHUNK and by the
+    sorted multiples for the larger p^2, equals one square-free bitmap of
+    [1, top] on its range, and the chunks tile [0, top].  At 913 some
+    chunks start, and some end, on a value that only a p^2 > _CHUNK
+    divides (2 * 37^2 = 2,738 ends the third)."""
+    monkeypatch.setattr(sv, "_CHUNK", chunk)
+    top = 200_000
+    p2 = np.array(arith.primes_up_to(math.isqrt(top)), dtype=np.int64) ** 2
+    want = np.ones(top + 1, dtype=bool)
+    for m in p2.tolist():
+        want[::m] = False
+    vals = np.arange(1, top + 1, dtype=np.uint32)
+    end, starts, ends = 0, [], []
+    for lo, sf, v in sv._squarefree_chunks(vals, top, p2):
+        assert lo == end and 0 < sf.size <= chunk
+        assert v.tolist() == list(range(lo == 0, sf.size))
+        assert np.array_equal(sf[v], want[lo + v])
+        end = lo + sf.size
+        starts.append(lo)
+        ends.append(end - 1)
+    assert end == top + 1
+
+    def big_only(e):
+        return not want[e] and all(e % m for m in p2[p2 <= chunk].tolist())
+
+    if chunk == 913:
+        assert any(map(big_only, starts[1:])) and any(map(big_only, ends))
+
+
 def test_naive_squarefree_count_cap(monkeypatch):
     def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the cap was checked")
@@ -314,28 +345,49 @@ def _S_grid(d, k):
 
 
 @pytest.mark.parametrize("X", [1, 2, 3])
-def test_S_term_histogram_matches_grid(X):
+def test_S_term_histogram_matches_grid(X, monkeypatch):
+    """Each chunk of the histogram holds at most _CHUNK counts of the
+    smallest type and equals the grid's counts on its range; the chunks tile
+    [0, max |Delta|] in order, so a chunk that repeats or skips its
+    boundary value fails.  S_term sums its strided slices chunk by chunk,
+    with the default chunks (4 at X = 3) and with many small ones: every k
+    at X <= 2, and at X = 3 200 seeded k at the default chunks and the k
+    around the chunk widths at both."""
     d = _delta_values(X)
-    h = sv._delta_histogram(X)
-    assert len(h) - 1 == int(np.abs(d).max())
-    kmax = math.isqrt(len(h) - 1)
+    counts = np.bincount(np.abs(d))
+    kmax = math.isqrt(counts.size - 1)
+    # k^2 on both sides of the chunk widths 1000 and 2^16, and k^2 = 2^22:
+    # chunks that hold one multiple of k^2 or none, or start on one
+    edge = [k for k in (1, 2, 3, 31, 32, 256, 257, 2048, 2049) if k <= kmax] + [kmax, kmax + 1]
+    seeded = np.random.default_rng(7).integers(1, kmax + 1, 200).tolist()
     if X < 3:
-        ks = range(1, kmax + 1)
+        ks = {sv._CHUNK: range(1, kmax + 2), 1000: range(1, kmax + 2)}
     else:
-        assert h.dtype == np.uint8  # not bincount's int64: 16.5 MB, not 132 MB
-        ks = np.random.default_rng(7).integers(1, kmax + 1, 200).tolist()
-    for k in ks:
-        assert sv.S_term(X, k, h) == _S_grid(d, k), k
-    assert sv.S_term(X, kmax + 1, h) == 0
+        ks = {sv._CHUNK: edge + seeded, 1 << 16: edge}
+    for chunk, chunk_ks in ks.items():
+        monkeypatch.setattr(sv, "_CHUNK", chunk)
+        end = 0
+        for lo, h in sv._delta_histogram(X):
+            assert lo == end and 0 < h.size <= chunk
+            if X == 3:
+                assert h.dtype == np.uint8  # not bincount's int64
+            assert np.array_equal(h, counts[lo : lo + h.size])
+            end = lo + h.size
+        assert end == counts.size
+        for k in chunk_ks:
+            assert sv.S_term(X, k) == _S_grid(d, k), (chunk, k)
 
 
 @pytest.mark.parametrize("xi", [2, 10, 100])
-def test_tail_S2_matches_grid(xi):
+def test_tail_S2_matches_grid(xi, monkeypatch):
     d = _delta_values(2)
     kmax = math.isqrt(int(np.abs(d).max()))
     mu = arith.mobius_table(kmax)
     want = sum(int(mu[k]) * _S_grid(d, k) for k in range(xi + 1, kmax + 1))
-    assert sv.tail_S2(2, xi)[0] == want
+    # one chunk of the histogram, 2 chunks and 127
+    for chunk in (sv._CHUNK, 1 << 16, 1000):
+        monkeypatch.setattr(sv, "_CHUNK", chunk)
+        assert sv.tail_S2(2, xi)[0] == want, chunk
 
 
 def test_mobius_sieve_identity_X3():
@@ -580,8 +632,11 @@ def test_large_prime_hits_match_delta_grid(monkeypatch):
     prime; in the third P > 7.  The first and third hold hits in all 12
     windows of a stripe, one per square B^2 mod 35 (0 included: 35 | B),
     and hits at 5 | A and 7 | A.  A small _TABLE splits each scan into
-    many chunks."""
-    for Amax, Bmax, nhits in ((100, 61, 1338), (200, 31, 1274), (100, 121, 1014)):
+    many chunks: 7 on the first box, 64 on the other two, where 7 took
+    most of the test's time."""
+    boxes = ((100, 61, 1338, 7), (200, 31, 1274, 64), (100, 121, 1014, 64))
+    default = sv._TABLE
+    for Amax, Bmax, nhits, small in boxes:
         L = 2 * Bmax + 1
         P = L // sv._FLIP
         lo, W = sv._odd_span(Bmax)
@@ -605,7 +660,7 @@ def test_large_prime_hits_match_delta_grid(monkeypatch):
             assert all((Ah % q == 0).any() and (Bh % q == 0).any() for q in (5, 7))
         assert hit[:, [0, -1]].any() and hit[:, [W // 2 - 1, W // 2]].any()
         assert B[[0, -1, W // 2 - 1, W // 2]].tolist() == [-Bmax, Bmax, -1, 1]
-        for table in (sv._TABLE, 7):
+        for table in (default, small):
             monkeypatch.setattr(sv, "_TABLE", table)
             found = sv._RootStage(As, Bmax).cofactor(Deadline())
             assert found.rows.size == 0

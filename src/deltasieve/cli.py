@@ -15,9 +15,11 @@ Exit codes: 0 success, 1 assertion/guard failure, 2 usage error (bad
 arguments, a --seed below 0, a count X below 1, a malformed --terms file
 or one with an unknown key, a DELTASIEVE_MAX_SECONDS that is not a finite
 number >= 0, an --out path that cannot be written).  The environment
-variable DELTASIEVE_MAX_SECONDS aborts long runs: one budget per suite
-run or per ``count`` list, which counts each X once and compares each
-count with its main term (``compare_main_term``).
+variable DELTASIEVE_MAX_SECONDS aborts long runs with exit 1 and no
+payload: one budget per suite, checked after each of its checks; per
+``count`` list, which counts each X once and compares each count with its
+main term (``compare_main_term``); and per ``constant`` product, checked
+once per window of its prime walk.
 """
 
 from __future__ import annotations
@@ -105,21 +107,40 @@ def _rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _emit_artifacts(reports, out: str | None):
-    """Write scan artifacts (omega/station/sj/main-term rows) as side CSVs."""
-    if not out:
-        return
-    for rep in reports:
-        for name, rows in rep.artifacts.items():
-            if name.endswith("_rows") and rows:
-                _emit(_rows_to_csv(rows), f"{out}.{rep.suite}.{name}.csv")
-
-
-def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.seed)
+def render_verify(suite: str, seed: int, reports, fmt: str) -> tuple[str, dict[str, str]]:
+    """The `verify` payload of `reports` in format `fmt` (json, text or
+    csv), and for csv the side CSVs of the scan artifacts (omega, station,
+    sj and main-term rows), keyed by their file suffix `<suite>.<scan>.csv`."""
+    if fmt == "text":
+        lines = []
+        for r in reports:
+            for c in r.checks:
+                lines.append(
+                    f"[{'PASS' if c.ok else 'FAIL'}] {r.suite}.{c.name} "
+                    f"deviation={c.deviation:.3g} {c.detail}"
+                )
+            lines.append(
+                f"suite {r.suite}: {sum(c.ok for c in r.checks)}/{len(r.checks)} passed, "
+                f"max deviation {r.max_deviation:.3g}"
+            )
+        return "\n".join(lines) + "\n", {}
+    if fmt == "csv":
+        rows = [
+            {"suite": r.suite, "name": c.name, "ok": int(c.ok),
+             "deviation": c.deviation, "detail": c.detail}
+            for r in reports
+            for c in r.checks
+        ]
+        side = {
+            f"{r.suite}.{name}.csv": _rows_to_csv(scan)
+            for r in reports
+            for name, scan in r.artifacts.items()
+            if name.endswith("_rows") and scan
+        }
+        return _rows_to_csv(rows), side
     payload = {
-        "suite": args.suite,
-        "seed": args.seed,
+        "suite": suite,
+        "seed": seed,
         "ok": all(r.ok for r in reports),
         "suites": [
             {
@@ -141,30 +162,16 @@ def _cmd_verify(args) -> int:
             for r in reports
         ],
     }
-    if args.format == "text":
-        lines = []
-        for r in reports:
-            for c in r.checks:
-                lines.append(
-                    f"[{'PASS' if c.ok else 'FAIL'}] {r.suite}.{c.name} "
-                    f"deviation={c.deviation:.3g} {c.detail}"
-                )
-            lines.append(
-                f"suite {r.suite}: {sum(c.ok for c in r.checks)}/{len(r.checks)} passed, "
-                f"max deviation {r.max_deviation:.3g}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [
-            {"suite": r.suite, "name": c.name, "ok": int(c.ok),
-             "deviation": c.deviation, "detail": c.detail}
-            for r in reports
-            for c in r.checks
-        ]
-        _emit(_rows_to_csv(rows), args.out)
-        _emit_artifacts(reports, args.out)
-    else:
-        _emit(json.dumps(payload, indent=2, default=str) + "\n", args.out)
+    return json.dumps(payload, indent=2, default=str) + "\n", {}
+
+
+def _cmd_verify(args) -> int:
+    reports = run_suite(args.suite, args.seed)
+    text, side = render_verify(args.suite, args.seed, reports, args.format)
+    _emit(text, args.out)
+    if args.out:
+        for suffix, csv_text in side.items():
+            _emit(csv_text, f"{args.out}.{suffix}")
     for r in reports:
         fail = r.first_failure()
         if fail is not None:

@@ -1,11 +1,13 @@
-"""The runtime guard shared by the long commands (`verify`, `count`).
+"""The runtime guard shared by the long commands (`verify`, `count`,
+`constant`).
 
 DELTASIEVE_MAX_SECONDS, when set, is the budget in seconds of one guarded
-computation: a verification suite, or one `count` invocation with all its
-X values.  The guard is checked at coarse points (once per check group,
-prime block or 256 stripes), so a run stops shortly after the budget.
-A set value must be a finite number >= 0 (the CLI exits 2 otherwise); an
-empty value means unset.
+computation: a verification suite, one `count` invocation with all its
+X values, or one Euler product.  The guard is checked after each check of
+a suite, per prime block or per 256 stripes of a count, and per window of
+the Euler product, so a run stops shortly after the budget.  A set value
+must be a finite number >= 0 (the CLI exits 2 otherwise); an empty value
+means unset.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ import mpmath as mp
 import numpy as np
 
 from .arith import is_prime, mobius_table, phi_table, prime_sieve, primes_up_to
+from .deadline import Deadline
 
 SIGMA_CAP = 10**4
 _SEGMENT = 1 << 20  # width of each step of the Euler product's walk over its prime bitmap
@@ -131,14 +132,17 @@ def _tail_log_interval(P: int, head2: mp.mpf, head3: mp.mpf) -> tuple[mp.mpf, mp
 def _fixed_point_walk(theorem: int, prime_bound: int, one: int) -> tuple[int, int, int]:
     """The prime loop of `euler_product`: (partial product, sum p^-2,
     sum p^-3) over p <= prime_bound, scaled by one = 2^K and rounded down
-    at each step.
+    at each step.  A DELTASIEVE_MAX_SECONDS guard started here is checked
+    once per window of the prime bitmap.
 
     As floor(floor(x / a) / b) = floor(x / (a b)) for x >= 0, the integers
     equal those of dividing by p^4, p^2 and p^3 at once, but each division
     is by p alone, one digit of a Python int for p < 2^30."""
+    deadline = Deadline()
     num, head2, head3 = one, 0, 0
     is_p = prime_sieve(prime_bound)
     for lo in range(0, prime_bound + 1, _SEGMENT):
+        deadline.check()
         for p in (np.flatnonzero(is_p[lo : lo + _SEGMENT]) + lo).tolist():
             if theorem == 1:
                 s = sigma(p * p) if p <= 100 else 2 * p * p - p
@@ -170,7 +174,8 @@ def euler_product(theorem: int, prime_bound: int) -> EulerProductResult:
     (primezeta, remainder bound, exp), where the integers become mpf once.
 
     The primes are read from one prime bitmap in 2^20-wide segments, so at
-    P = 10^8 the 5.76 M primes never exist as one list of ints.
+    P = 10^8 the 5.76 M primes never exist as one list of ints.  Each
+    segment first checks the DELTASIEVE_MAX_SECONDS guard.
     """
     if theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")

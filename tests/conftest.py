@@ -30,7 +30,7 @@ def suite_run():
     def get(name: str) -> SuiteRun:
         if name not in runs:
             t0 = time.perf_counter()
-            report = suites.SUITES[name](0)
+            (report,) = suites.run_suite(name, 0)
             runs[name] = SuiteRun(report, time.perf_counter() - t0)
         return runs[name]
 

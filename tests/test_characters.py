@@ -198,7 +198,8 @@ def test_dirichlet_check_fails_on_broken_draws(monkeypatch):
     from deltasieve import suites
 
     monkeypatch.setattr(ch, "dirichlet_approximation", lambda w, R: (2, 4, 0.0))
-    check = {c.name: c for c in suites.suite_characters(0).checks}
+    (report,) = suites.run_suite("characters", 0)
+    check = {c.name: c for c in report.checks}
     assert not check["dirichlet_approximation_property"].ok
 
 

@@ -1,34 +1,48 @@
+"""The `deltasieve` command, run in this process through `cli.main` with
+its output captured; the two tests of a fresh interpreter's behaviour
+start one."""
+
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from deltasieve import cli
 
 
-def run_cli(args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "deltasieve.cli", *args],
-        capture_output=True,
-        text=True,
-        **kw,
-    )
+@dataclass(frozen=True)
+class Run:
+    returncode: int
+    stdout: str
+    stderr: str
 
 
-def test_usage_error_exit_2():
-    r = run_cli(["verify"])  # missing --suite
-    assert r.returncode == 2
-    r = run_cli(["nonsense"])
-    assert r.returncode == 2
-    # a negative seed, also for a suite that draws no random numbers
-    r = run_cli(["verify", "--suite", "density", "--seed", "-1"])
-    assert r.returncode == 2
-    assert r.stdout == ""
+@pytest.fixture
+def run_cli(capsys):
+    """run_cli(argv) -> the exit code, stdout and stderr of `cli.main(argv)`."""
+
+    def run(args):
+        rc = cli.main(args)
+        out, err = capsys.readouterr()
+        return Run(rc, out, err)
+
+    return run
 
 
-def test_verify_density_json():
+def test_usage_error_exit_2(capsys):
+    # argparse exits 2 itself: a missing --suite, an unknown command, and a
+    # negative seed, also for a suite that draws no random numbers
+    for argv in (["verify"], ["nonsense"], ["verify", "--suite", "density", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_density_json(run_cli):
     r = run_cli(["verify", "--suite", "density", "--format", "json"])
     assert r.returncode == 0
     payload = json.loads(r.stdout)
@@ -41,7 +55,7 @@ def test_verify_density_json():
     assert "wall-clock" in r.stderr
 
 
-def test_verify_json_types():
+def test_verify_json_types(run_cli):
     """`ok` is a JSON bool and `n_pass` an int, also for checks whose
     verdict is a numpy bool."""
     r = run_cli(["verify", "--suite", "expsum", "--format", "json"])
@@ -54,7 +68,7 @@ def test_verify_json_types():
     assert all(type(c["ok"]) is bool for c in suite["checks"])
 
 
-def test_verify_payload_deterministic():
+def test_verify_payload_deterministic(run_cli):
     a = run_cli(["verify", "--suite", "poisson", "--seed", "42", "--format", "json"])
     b = run_cli(["verify", "--suite", "poisson", "--seed", "42", "--format", "json"])
     assert a.returncode == b.returncode == 0
@@ -107,7 +121,7 @@ def test_cli_pins_blas_threads_before_numpy():
         assert at_numpy == after == {k: want for k in BLAS_THREADS}
 
 
-def test_constant_json():
+def test_constant_json(run_cli):
     r = run_cli(["constant", "--theorem", "2", "--prime-bound", "1000"])
     assert r.returncode == 0
     payload = json.loads(r.stdout)
@@ -119,14 +133,14 @@ def test_constant_json():
     assert p1["value_lo"] <= payload["value_hi"] and payload["value_lo"] <= p1["value_hi"]
 
 
-def test_constant_bad_prime_bound():
+def test_constant_bad_prime_bound(run_cli):
     for P in (4, -1, cli.MAX_PRIME_BOUND + 1):
         r = run_cli(["constant", "--theorem", "1", "--prime-bound", str(P)])
         assert r.returncode == 2, P
         assert r.stdout == ""
 
 
-def test_count_csv(tmp_path):
+def test_count_csv(run_cli, tmp_path):
     out = tmp_path / "counts.csv"
     r = run_cli(["count", "--X", "1,2", "--mode", "exact", "--out", str(out)])
     assert r.returncode == 0
@@ -143,7 +157,7 @@ def test_count_csv(tmp_path):
     assert 4 * float(rows[0][3]) == float(first[3])  # main_lo at X = 1
 
 
-def test_count_payload_deterministic_modulo_seconds(tmp_path):
+def test_count_payload_deterministic_modulo_seconds(run_cli, tmp_path):
     """The whole payload is byte-identical across reruns: the elapsed
     seconds go to stderr only."""
     outs = []
@@ -157,7 +171,7 @@ def test_count_payload_deterministic_modulo_seconds(tmp_path):
     assert b"seconds" not in outs[0]
 
 
-def test_count_bad_X():
+def test_count_bad_X(run_cli):
     for args in (
         ["--X", "abc"], ["--X", "nan"], ["--X", "inf"], ["--X", "1", "--threads", "0"],
         ["--X", "0.5"], ["--X", "1e-50"], ["--X", "1e-300", "--mode", "smoothed"],
@@ -167,7 +181,7 @@ def test_count_bad_X():
         assert r.stdout == ""
 
 
-def test_balance_paper():
+def test_balance_paper(run_cli):
     r = run_cli(["balance", "--preset", "paper"])
     assert r.returncode == 0
     payload = json.loads(r.stdout)
@@ -176,7 +190,7 @@ def test_balance_paper():
     assert abs(payload["exponent_decimal"] - (7 - 5 / 27)) < 1e-12
 
 
-def test_balance_terms_file(tmp_path):
+def test_balance_terms_file(run_cli, tmp_path):
     f = tmp_path / "terms.json"
     f.write_text(json.dumps([{"const": "6"}]))
     r = run_cli(["balance", "--terms", str(f)])
@@ -239,31 +253,44 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     assert not missing.parent.exists() and list(tmp_path.iterdir()) == []
 
 
-def test_time_budget_guard():
-    r = run_cli(
-        ["verify", "--suite", "expsum"],
-        env={**os.environ, "DELTASIEVE_MAX_SECONDS": "0.0"},
-    )
-    assert r.returncode == 1
-    assert "DELTASIEVE_MAX_SECONDS" in r.stderr
+def test_time_budget_guard(run_cli, monkeypatch):
+    """The budget is checked after each check of a suite, so it stops
+    every suite, also one whose code checks no deadline itself."""
+    monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
+    for suite in ("expsum", "arith", "density", "poisson"):
+        r = run_cli(["verify", "--suite", suite])
+        assert r.returncode == 1, suite
+        assert "aborted:" in r.stderr and "DELTASIEVE_MAX_SECONDS" in r.stderr
+        assert r.stdout == "", suite
 
 
-def test_count_time_budget_guard():
-    r = run_cli(["count", "--X", "5"], env={**os.environ, "DELTASIEVE_MAX_SECONDS": "0.0"})
+def test_count_time_budget_guard(run_cli, monkeypatch):
+    monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0.0")
+    r = run_cli(["count", "--X", "5"])
     assert r.returncode == 1
     assert "aborted:" in r.stderr and "DELTASIEVE_MAX_SECONDS" in r.stderr
     assert r.stdout == ""
+
+
+def test_constant_time_budget_guard(run_cli, monkeypatch, tmp_path):
+    """The Euler product checks the budget once per window of its prime
+    walk: `constant` exits 1 and writes no payload."""
+    monkeypatch.setenv("DELTASIEVE_MAX_SECONDS", "0")
+    out = tmp_path / "c.json"
+    for argv in (["constant", "--theorem", "1"], ["constant", "--theorem", "2", "--out", str(out)]):
+        r = run_cli(argv)
+        assert r.returncode == 1, argv
+        assert "aborted:" in r.stderr and "DELTASIEVE_MAX_SECONDS" in r.stderr
+        assert r.stdout == ""
+    assert not out.exists()
 
 
 def test_verify_failure_path(monkeypatch, capsys):
     from deltasieve import suites
 
     def fake_run_suite(name, seed=0):
-        rep = suites.SuiteReport("expsum", seed)
-        rep.checks.append(
-            suites.CheckResult("exptrans_exhaustive_l15", False, 4.2, "l=13 m=2 n=-1")
-        )
-        return [rep]
+        check = suites.CheckResult("exptrans_exhaustive_l15", False, 4.2, "l=13 m=2 n=-1")
+        return [suites.SuiteReport("expsum", seed, [check], {})]
 
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)
     ap = cli.build_parser()
@@ -277,10 +304,11 @@ def test_verify_failure_path(monkeypatch, capsys):
 
 def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
     """A RuntimeError from the sieve kernel (here the B -> -B gate, tripped
-    by a stage 2 that breaks the symmetry) fails the sieve suite with one
-    check that carries it, while the other suites still run; `count` exits
-    1 with `error: ...` on stderr and no payload.  Every suite but `sieve`
-    is a one-check stub, so only the failing suite does real work."""
+    by a stage 2 that breaks the symmetry) fails the sieve suite: it keeps
+    the check it yielded before the counts and ends with one check that
+    carries the error, while the other suites still run; `count` exits 1
+    with `error: ...` on stderr and no payload.  Every suite but `sieve` is
+    a one-check stub, so only the failing suite does real work."""
     from deltasieve import sieve, suites
 
     ran = []
@@ -288,7 +316,7 @@ def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
     def stub(name):
         def run(seed):
             ran.append(name)
-            return suites.SuiteReport(name, seed, [suites.CheckResult("stub", True, 0.0)])
+            yield suites.CheckResult("stub", True, 0.0)
 
         return run
 
@@ -309,12 +337,28 @@ def test_kernel_error_fails_its_suite_and_count(monkeypatch, capsys):
     assert [r["name"] for r in reports] == list(suites.SUITES)
     assert ran == [n for n in suites.SUITES if n != "sieve"]  # poisson runs after sieve
     assert [r["name"] for r in reports if not r["ok"]] == ["sieve"]
-    (check,) = reports[list(suites.SUITES).index("sieve")]["checks"]
+    kept, check = reports[list(suites.SUITES).index("sieve")]["checks"]
+    assert kept["name"] == "delta_value_examples" and kept["ok"]
     assert check["name"] == "raised" and "stripe A = 1:" in check["detail"]
     assert "FAILED sieve.raised" in err
     assert cli.main(["count", "--X", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "error: stripe A = 1:" in err
+
+
+def test_raised_check_keeps_the_checks_before_it(monkeypatch):
+    """A suite that raises keeps what it yielded before; the checks after
+    the failed call are skipped."""
+    from deltasieve import expsum, suites
+
+    def broken(*args):
+        raise ZeroDivisionError("poisson_check")
+
+    monkeypatch.setattr(expsum, "poisson_check", broken)
+    (report,) = suites.run_suite("poisson", 0)
+    assert [c.name for c in report.checks] == ["gaussian_selfdual_1d", "raised"]
+    assert report.checks[0].ok and not report.checks[1].ok
+    assert report.checks[1].detail == "ZeroDivisionError('poisson_check')"
 
 
 def test_parser_flags():
